@@ -15,7 +15,9 @@ coefficient was found, 3 on an internal identity violation.
 Output is deterministic; `--no-timing` drops the elapsed_ms field so two
 runs can be compared byte for byte.  `--out DIR` persists the run as one
 JSON file keyed by a hash of the command and its parameters, and a later
-identical invocation replays the stored records instead of recomputing.
+identical invocation replays the stored records instead of recomputing.  The
+file is written atomically; one that cannot be read back is recomputed and
+overwritten.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import hashlib
 import json
 import os
 import sys
+import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
@@ -47,7 +50,7 @@ from .identities import (
 )
 from .landau import canonicalize, enumerate_tuples, landau_check
 from .polyring import IntPoly
-from .qfactor import TupleSpec, classical_ratio, d_polynomial, d_n_sweep, q_binomial
+from .qfactor import TupleSpec, classical_ratio, d_polynomial, d_n_sweep
 
 MAX_SUM_BOUND = 64
 MAX_IDENTITY_N = 16
@@ -226,43 +229,22 @@ def _cmd_dpoly(args) -> list[dict]:
     return [_record("dpoly", echo, status, payload, started)]
 
 
-def _sweep_payload(task: tuple) -> dict:
-    a, b, n, full = task
+def _map(fn, tasks: list, jobs: int) -> list:
+    """[fn(task) for task in tasks] on min(jobs, len(tasks)) workers; no pool for one."""
+    workers = min(jobs, len(tasks))
+    if workers <= 1:
+        return [fn(task) for task in tasks]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, tasks))
+
+
+def _sweep_record(task: tuple) -> dict:
+    echo, a, b, n, full = task
     started = time.perf_counter()
     poly = d_polynomial(TupleSpec(a, b).scaled(n))
     payload = dict(n=n, **_poly_stats(poly, full))
-    payload["elapsed_ms"] = int((time.perf_counter() - started) * 1000)
-    return payload
-
-
-def _sweep_records(command: str, echo: dict, spec: TupleSpec, n_max: int, full: bool, jobs: int) -> list[dict]:
-    if jobs > 1:
-        tasks = [(spec.a, spec.b, n, full) for n in range(1, n_max + 1)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            payloads = list(pool.map(_sweep_payload, tasks))
-    else:
-        started = time.perf_counter()
-        payloads = []
-        for n, poly in enumerate(d_n_sweep(spec, n_max), start=1):
-            payload = dict(n=n, **_poly_stats(poly, full))
-            now = time.perf_counter()
-            payload["elapsed_ms"] = int((now - started) * 1000)
-            started = now
-            payloads.append(payload)
-    records = []
-    for payload in payloads:
-        elapsed = payload.pop("elapsed_ms")
-        status = "ok" if payload["is_positive"] else "negative-found"
-        records.append(
-            {
-                "command": command,
-                "input": dict(echo, n=payload["n"]),
-                "status": status,
-                "payload": payload,
-                "elapsed_ms": elapsed,
-            }
-        )
-    return records
+    status = "ok" if payload["is_positive"] else "negative-found"
+    return _record("sweep", dict(echo, n=n), status, payload, started)
 
 
 def _cmd_sweep(args) -> list[dict]:
@@ -278,11 +260,12 @@ def _cmd_sweep(args) -> list[dict]:
             min_value=verdict.min_value,
         )
         return [_record("sweep", echo, "not-polynomial", payload, started)]
-    return _sweep_records("sweep", echo, spec, args.n_max, args.full, args.jobs)
+    tasks = [(echo, spec.a, spec.b, n, args.full) for n in range(1, args.n_max + 1)]
+    return _map(_sweep_record, tasks, args.jobs)
 
 
-def _tuple_sweep_payload(task: tuple) -> dict:
-    a, b, n_max, full = task
+def _tuple_sweep_record(task: tuple) -> dict:
+    echo, a, b, n_max, full = task
     started = time.perf_counter()
     spec = TupleSpec(a, b)
     per_n = []
@@ -300,14 +283,16 @@ def _tuple_sweep_payload(task: tuple) -> dict:
         "all_positive": not negative_ns,
         "negative_ns": negative_ns,
         "per_n": per_n,
-        "elapsed_ms": int((time.perf_counter() - started) * 1000),
     }
-    return payload
+    status = "ok" if not negative_ns else "negative-found"
+    return _record("enumerate", dict(echo), status, payload, started)
 
 
 def _cmd_enumerate(args) -> list[dict]:
     if args.sum_bound > MAX_SUM_BOUND:
         raise _UsageError(f"--sum-bound is capped at {MAX_SUM_BOUND}")
+    if args.sum_bound < 2:
+        raise _UsageError("--sum-bound must be >= 2")
     echo = {
         "r": args.r,
         "s": args.s,
@@ -324,26 +309,8 @@ def _cmd_enumerate(args) -> list[dict]:
             records.append(_record("enumerate", dict(echo), "ok", payload, started))
             started = time.perf_counter()
         return records
-    tasks = [(t.a, t.b, args.sweep_n, args.full) for t in tuples]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            payloads = list(pool.map(_tuple_sweep_payload, tasks))
-    else:
-        payloads = [_tuple_sweep_payload(task) for task in tasks]
-    records = []
-    for payload in payloads:
-        elapsed = payload.pop("elapsed_ms")
-        status = "ok" if payload["all_positive"] else "negative-found"
-        records.append(
-            {
-                "command": "enumerate",
-                "input": dict(echo),
-                "status": status,
-                "payload": payload,
-                "elapsed_ms": elapsed,
-            }
-        )
-    return records
+    tasks = [(echo, t.a, t.b, args.sweep_n, args.full) for t in tuples]
+    return _map(_tuple_sweep_record, tasks, args.jobs)
 
 
 def _identity_record(echo: dict, name: str, failures: list, cases: int, started: float) -> dict:
@@ -518,6 +485,31 @@ def _cache_key(command: str, args) -> dict:
     return params
 
 
+def _load_records(path: str) -> list[dict] | None:
+    """The records cached at path; None if it is missing, unreadable or corrupt."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            records = json.load(handle)["records"]
+        if isinstance(records, list) and all(rec["status"] in _STATUS_EXIT for rec in records):
+            return records
+    except (OSError, ValueError, LookupError, TypeError):
+        pass
+    return None
+
+
+def _store(path: str, blob: dict) -> None:
+    """Write blob as JSON through a temp file in path's directory, then os.replace it."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".tmp-", suffix=".json")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            json.dump(blob, handle, sort_keys=True)
+            handle.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     out_path = None
@@ -528,9 +520,8 @@ def main(argv=None) -> int:
         ).hexdigest()[:16]
         os.makedirs(args.out, exist_ok=True)
         out_path = os.path.join(args.out, f"{args.command}-{digest}.json")
-        if os.path.exists(out_path):
-            with open(out_path, encoding="utf-8") as handle:
-                records = json.load(handle)["records"]
+        records = _load_records(out_path)
+        if records is not None:
             _emit(records, args.format, args.no_timing)
             return _exit_code(records)
     try:
@@ -538,14 +529,8 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"qpos {args.command}: error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"qpos {args.command}: error: {exc}", file=sys.stderr)
-        return 1
     if out_path is not None:
-        blob = {"command": args.command, "params": _cache_key(args.command, args), "records": records}
-        with open(out_path, "w", encoding="utf-8") as handle:
-            json.dump(blob, handle, sort_keys=True)
-            handle.write("\n")
+        _store(out_path, {"command": args.command, "params": params, "records": records})
     _emit(records, args.format, args.no_timing)
     return _exit_code(records)
 

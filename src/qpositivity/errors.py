@@ -15,8 +15,9 @@ class NotPolynomial(QPositivityError):
     """A factorial ratio is not a polynomial.
 
     `ell` is the index of a cyclotomic factor with negative exponent when the
-    failure was detected on the cyclotomic route (None on the naive-division
-    route); `n` is the scale at which a sweep failed, when applicable.
+    failure was detected by the cyclotomic exponent check (None on the
+    naive-division route); `n` is the scale at which a sweep failed, when
+    applicable.
     """
 
     def __init__(self, message: str, ell: int | None = None, n: int | None = None):

@@ -23,7 +23,7 @@ from .errors import NotDivisible
 
 try:
     from gmpy2 import mpz as _mpz
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
+except ImportError:  # pragma: no cover - gmpy2 is an optional extra
     _mpz = None
 
 # Use schoolbook while len(p) * len(r) is below this; packing overhead loses

@@ -4,12 +4,16 @@ A factorial ratio is named by a pair of positive-integer tuples (a, b): the
 numerator carries the factorials of the a-entries, the denominator those of
 the b-entries.  Its q-analogue replaces every factorial by a q-factorial; the
 result, when it is a polynomial at all, factors over the integers as a product
-of cyclotomic polynomials Phi_ell with exponents given by a floor sum.
+of cyclotomic polynomials Phi_ell (ell >= 2) with exponents given by a floor
+sum.  Those exponents decide polynomiality; the polynomial itself is built
+from the identity [x]! = prod_{k<=x} (1 - q^k) / (1 - q)^x.
 
 Two independent routes compute the same polynomial and act as oracles for one
 another:
 
-* ``d_polynomial``      — product of cyclotomic powers (the fast path);
+* ``d_polynomial``      — the low half of the ratio as a truncated power
+                          series in the factors (1 - q^k), mirrored (the fast
+                          path);
 * ``d_polynomial_naive``— multiply the numerator q-factorials, then exactly
                           divide by each denominator q-factorial in turn.
 
@@ -19,12 +23,13 @@ ordinary factorials, again independently of both polynomial routes.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from operator import sub
 
 from .errors import NotDivisible, NotPolynomial
-from .polyring import IntPoly, cyclotomic
+from .polyring import IntPoly
 
 
 @dataclass(frozen=True)
@@ -161,7 +166,14 @@ def ratio_exponents(t: TupleSpec) -> CycloExponents:
 
 
 def d_polynomial(t: TupleSpec) -> IntPoly:
-    """The ratio as a polynomial, via its cyclotomic factorization.
+    """The ratio as a polynomial, built as a truncated power series.
+
+    The ratio is prod_k (1 - q^k)^{c_k} times (1 - q)^{sum(b) - sum(a)}, with
+    c_k = #{a_i >= k} - #{b_j >= k}.  As a product of Phi_ell with ell >= 2
+    it is palindromic, so only its coefficients below q^{deg//2 + 1} are
+    computed and the rest are mirrored.  Modulo that power of q, multiplying
+    by (1 - q^k) is one shifted subtract and dividing by it is k stride-k
+    running sums; no polynomial multiplication takes place.
 
     Raises NotPolynomial (carrying the smallest offending ell) when some
     cyclotomic exponent is negative.
@@ -174,31 +186,25 @@ def d_polynomial(t: TupleSpec) -> IntPoly:
             f"{ce.exponents[bad]}",
             ell=bad,
         )
-    factors = [cyclotomic(ell) ** e for ell, e in sorted(ce.exponents.items())]
-    total_degree = sum(len(f) - 1 for f in factors)
-    if total_degree <= 2048:
-        # multiply in increasing ell
-        poly = IntPoly.one()
-        for f in factors:
-            poly = poly * f
-        return poly
-    return _balanced_product(factors)
-
-
-def _balanced_product(factors: list[IntPoly]) -> IntPoly:
-    """Product of many polynomials, smallest pairs first (near-balanced tree)."""
-    if not factors:
-        return IntPoly.one()
-    heap = [(len(f), i, f) for i, f in enumerate(factors)]
-    heapq.heapify(heap)
-    counter = len(factors)
-    while len(heap) > 1:
-        _, _, x = heapq.heappop(heap)
-        _, _, y = heapq.heappop(heap)
-        p = x * y
-        heapq.heappush(heap, (len(p), counter, p))
-        counter += 1
-    return heap[0][2]
+    degree = sum(x * (x - 1) // 2 for x in t.a) - sum(x * (x - 1) // 2 for x in t.b)
+    series = [1] + [0] * (degree // 2)
+    size = len(series)
+    # (k, power of 1 - q^k); factors with k >= size are 1 modulo q^size
+    powers = [
+        (k, sum(x >= k for x in t.a) - sum(x >= k for x in t.b))
+        for k in range(1, min(t.max_entry + 1, size))
+    ]
+    if powers:
+        powers[0] = (1, powers[0][1] + t.sum_b - t.sum_a)
+    # Multiplying first, then dividing largest k first, keeps intermediates small.
+    for k, e in powers:
+        for _ in range(e):
+            series[k:] = map(sub, series[k:], series[:-k])
+    for k, e in reversed(powers):
+        for _ in range(-e):
+            for r in range(k):
+                series[r::k] = accumulate(series[r::k])
+    return IntPoly(series + series[: degree + 1 - size][::-1])
 
 
 def d_polynomial_naive(t: TupleSpec) -> IntPoly:

@@ -94,6 +94,15 @@ class TestSweepCommand:
         assert "coefficients" not in lean[0]["payload"]
         assert full[1]["payload"]["coefficients"] == ["1", "1", "2", "1", "1"]
 
+    def test_single_task_starts_no_pool(self, capsys, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("one task needs no worker pool")
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+        code, recs = run_cli(capsys, "sweep", "--a", "2", "--b", "1,1", "--n-max", "1", "--jobs", "4")
+        assert code == 0
+        assert [rec["payload"]["n"] for rec in recs] == [1]
+
     def test_jobs_flag_gives_identical_records(self, capsys):
         args = ("sweep", "--a", "3", "--b", "2,1", "--n-max", "6", "--no-timing")
         _, seq = run_raw(capsys, *args, "--jobs", "1")
@@ -135,6 +144,13 @@ class TestEnumerateCommand:
         )
         assert code == 1
         assert "capped" in capsys.readouterr().err
+
+    def test_sum_bound_one_is_a_usage_error(self, capsys):
+        code = cli.main(["enumerate", "--r", "1", "--s", "2", "--sum-bound", "1"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "--sum-bound must be >= 2" in captured.err
+        assert captured.out == ""
 
 
 class TestIdentitiesCommand:
@@ -247,6 +263,27 @@ class TestDeterminismAndCaching:
         run_raw(capsys, *base, "--n-max", "2")
         run_raw(capsys, *base, "--n-max", "3")
         assert len(list(tmp_path.iterdir())) == 2
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda text: text[: len(text) // 2],
+            lambda text: "",
+            lambda text: "[]",
+            lambda text: '{"records": [{"status": "bogus"}]}',
+        ],
+        ids=["truncated", "empty", "no-records", "bad-status"],
+    )
+    def test_corrupt_cache_is_recomputed(self, capsys, tmp_path, corrupt):
+        args = ("dpoly", "--a", "6,1,1", "--b", "5,3", "--n", "1", "--no-timing")
+        fresh = run_raw(capsys, *args)
+        cached = run_raw(capsys, *args, "--out", str(tmp_path))
+        assert cached == fresh
+        (path,) = tmp_path.iterdir()
+        path.write_text(corrupt(path.read_text()))
+        assert run_raw(capsys, *args, "--out", str(tmp_path)) == fresh
+        assert list(tmp_path.iterdir()) == [path]
+        assert json.loads(path.read_text())["records"]
 
     def test_replayed_exit_code_preserved(self, capsys, tmp_path):
         args = (

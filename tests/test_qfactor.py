@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpositivity.errors import NotPolynomial
-from qpositivity.polyring import IntPoly
+from qpositivity.polyring import IntPoly, cyclotomic
 from qpositivity.qfactor import (
     TupleSpec,
     classical_ratio,
@@ -191,6 +191,19 @@ def test_routes_agree(t):
             d_polynomial_naive(t)
         return
     assert fast == d_polynomial_naive(t)
+
+
+@settings(max_examples=150)
+@given(tuple_specs)
+def test_cyclotomic_factorization_matches(t):
+    try:
+        poly = d_polynomial(t)
+    except NotPolynomial:
+        return
+    product = IntPoly.one()
+    for ell, e in ratio_exponents(t).exponents.items():
+        product = product * cyclotomic(ell) ** e
+    assert product == poly
 
 
 @settings(max_examples=150)
