@@ -16,8 +16,12 @@ Output is deterministic; `--no-timing` drops the elapsed_ms field so two
 runs can be compared byte for byte.  `--out DIR` persists the run as one
 JSON file keyed by a hash of the command and its parameters, and a later
 identical invocation replays the stored records instead of recomputing.  The
-file is written atomically; one that cannot be read back is recomputed and
-overwritten.
+key also holds the package version and the record schema, so a file written
+by another version is not replayed.  The file is written atomically; one that
+cannot be read back is recomputed and overwritten.
+
+dpoly, sweep and enumerate --sweep-n refuse, as a usage error, any D_n whose
+degree sum(C(n*a_i, 2)) - sum(C(n*b_j, 2)) exceeds MAX_DEGREE.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
+from . import __version__
 from .errors import Degenerate, IdentityViolation, NotPolynomial
 from .identities import (
     b_poly_direct,
@@ -53,7 +58,10 @@ from .polyring import IntPoly
 from .qfactor import TupleSpec, classical_ratio, d_polynomial, d_n_sweep
 
 MAX_SUM_BOUND = 64
+MAX_DEGREE = 250_000
 MAX_IDENTITY_N = 16
+# Bumped whenever the record layout changes, so --out never replays an old shape.
+_CACHE_SCHEMA = 1
 
 _STATUS_EXIT = {"ok": 0, "not-polynomial": 0, "negative-found": 2, "identity-violation": 3}
 
@@ -167,6 +175,17 @@ def _record(command: str, input_echo: dict, status: str, payload: dict, started:
     }
 
 
+def _check_degree(spec: TupleSpec, n: int) -> None:
+    """Refuse D_n of spec above MAX_DEGREE, before anything is built."""
+    degree = sum(x * n * (x * n - 1) // 2 for x in spec.a)
+    degree -= sum(x * n * (x * n - 1) // 2 for x in spec.b)
+    if degree > MAX_DEGREE:
+        raise _UsageError(
+            f"D_{n} of a={list(spec.a)}, b={list(spec.b)} has degree {degree},"
+            f" above the cap of {MAX_DEGREE}"
+        )
+
+
 def _resolve_spec(a, b, raw: bool):
     """(spec, canonicalization info) honoring --raw; Degenerate means D = 1."""
     given = TupleSpec(tuple(a), tuple(b))
@@ -211,6 +230,7 @@ def _cmd_dpoly(args) -> list[dict]:
     started = time.perf_counter()
     echo = {"a": list(args.a), "b": list(args.b), "n": args.n, "raw": args.raw}
     spec, info = _resolve_spec(args.a, args.b, args.raw)
+    _check_degree(spec, args.n)
     try:
         poly = d_polynomial(spec.scaled(args.n))
     except NotPolynomial as exc:
@@ -260,6 +280,7 @@ def _cmd_sweep(args) -> list[dict]:
             min_value=verdict.min_value,
         )
         return [_record("sweep", echo, "not-polynomial", payload, started)]
+    _check_degree(spec, args.n_max)
     tasks = [(echo, spec.a, spec.b, n, args.full) for n in range(1, args.n_max + 1)]
     return _map(_sweep_record, tasks, args.jobs)
 
@@ -309,6 +330,8 @@ def _cmd_enumerate(args) -> list[dict]:
             records.append(_record("enumerate", dict(echo), "ok", payload, started))
             started = time.perf_counter()
         return records
+    for t in tuples:
+        _check_degree(t, args.sweep_n)
     tasks = [(echo, t.a, t.b, args.sweep_n, args.full) for t in tuples]
     return _map(_tuple_sweep_record, tasks, args.jobs)
 
@@ -514,10 +537,13 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     out_path = None
     if args.out:
-        params = _cache_key(args.command, args)
-        digest = hashlib.sha256(
-            json.dumps({"command": args.command, "params": params}, sort_keys=True).encode()
-        ).hexdigest()[:16]
+        key = {
+            "command": args.command,
+            "params": _cache_key(args.command, args),
+            "schema": _CACHE_SCHEMA,
+            "version": __version__,
+        }
+        digest = hashlib.sha256(json.dumps(key, sort_keys=True).encode()).hexdigest()[:16]
         os.makedirs(args.out, exist_ok=True)
         out_path = os.path.join(args.out, f"{args.command}-{digest}.json")
         records = _load_records(out_path)
@@ -530,7 +556,7 @@ def main(argv=None) -> int:
         print(f"qpos {args.command}: error: {exc}", file=sys.stderr)
         return 1
     if out_path is not None:
-        _store(out_path, {"command": args.command, "params": params, "records": records})
+        _store(out_path, dict(key, records=records))
     _emit(records, args.format, args.no_timing)
     return _exit_code(records)
 

@@ -7,8 +7,10 @@ constant and right-continuous, jumping only at rationals k/d where d is a
 tuple entry, and f(x+1) = f(x) + (sum(a) - sum(b)).  So:
 
 * if sum(a) < sum(b), f eventually goes negative — report a witness;
-* otherwise the minimum over x >= 0 is the minimum over the breakpoints in
-  [0, 1), evaluated in exact rational arithmetic (floats never enter).
+* otherwise the minimum over x >= 0 is the minimum over [0, 1), and only the
+  points k/d with d a denominator entry can attain it first (see
+  ``landau_check``).  Each is evaluated in integer arithmetic as
+  sum(a_i*k // d) - sum(b_j*k // d); floats never enter.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ class LandauVerdict:
 
     `witness` is a rational point (lowest terms) where the floor sum is
     negative, present exactly when the criterion fails; `min_value` is the
-    minimum of the floor sum over the checked points (the breakpoints of one
-    period, extended by the shifted witness for sum-deficient tuples).
+    minimum of the floor sum over one period [0, 1), or its value at the
+    shifted witness for sum-deficient tuples.
     """
 
     holds: bool
@@ -52,21 +54,32 @@ def floor_sum(t: TupleSpec, x: Fraction) -> int:
 
 
 def landau_check(t: TupleSpec) -> LandauVerdict:
-    """Decide the criterion exactly via breakpoint evaluation on [0, 1).
+    """Decide the criterion exactly by integer evaluation at denominator breakpoints.
 
-    The breakpoints are all k/d for d a tuple entry and 0 <= k < d; f is
-    evaluated AT each breakpoint (right-continuous convention), which attains
-    the infimum over the period.  Sum-deficient tuples get a witness beyond
-    the first period by shifting the period minimizer.
+    Only the points k/d with d in b and 0 < k < d are evaluated, besides 0
+    (where f is 0).  That suffices: f is constant between breakpoints, and at
+    a breakpoint where no b-term jumps only a-terms do, so f rises there.
+    Hence the smallest minimizer of f on [0, 1) is 0 or a jump point of some
+    b-term, i.e. some k/d with d in b.  f is evaluated AT each point
+    (right-continuous convention), which attains the infimum.
+
+    Points are visited unsorted; a tie on a negative value keeps the smaller
+    point (compared by cross-multiplication), so the witness is the smallest
+    minimizer.  Sum-deficient tuples get a witness beyond the first period by
+    shifting the period minimizer.
     """
-    points = {Fraction(k, d) for d in (*t.a, *t.b) for k in range(d)}
-    min_value = 0
-    min_point = Fraction(0)
-    for x in sorted(points):
-        v = floor_sum(t, x)
-        if v < min_value:
-            min_value = v
-            min_point = x
+    a, b = t.a, t.b
+    min_value, min_k, min_d = 0, 0, 1
+    for d in set(b):
+        for k in range(1, d):
+            v = 0
+            for x in a:
+                v += x * k // d
+            for x in b:
+                v -= x * k // d
+            if v < min_value or (v == min_value < 0 and k * min_d < min_k * d):
+                min_value, min_k, min_d = v, k, d
+    min_point = Fraction(min_k, min_d)
     if min_value < 0:
         return LandauVerdict(holds=False, witness=min_point, min_value=min_value)
     drop = t.sum_b - t.sum_a
@@ -113,6 +126,8 @@ def _descending_tuples(size: int, total: int, cap: int | None = None):
     """All weakly-decreasing positive tuples of the given size and exact sum."""
     if cap is None:
         cap = total
+    if total > size * cap:
+        return
     if size == 1:
         if 1 <= total <= cap:
             yield (total,)
@@ -134,9 +149,12 @@ def enumerate_tuples(
     Canonical means: both sides weakly decreasing and no entry common to both.
     Candidates range over sum(a) <= sum_bound, with sum(b) = sum(a) when
     balanced_only (never above sum(a): a sum-deficient numerator always fails
-    the criterion).  Imprimitive pairs (gcd of all entries > 1) are scale-ups
-    of primitive ones and are filtered out unless primitive_only is False.
-    Output is deduplicated and in lexicographic order.
+    the criterion).  Every b-entry is below a_1, the largest a-entry: at
+    x = 1/b_1, f = sum(a_i // b_1) - #{j : b_j = b_1}, which is negative unless
+    some a_i >= b_1, and disjointness then forces a_1 > b_1.  Imprimitive
+    pairs (gcd of all entries > 1) are scale-ups of primitive ones and are
+    filtered out unless primitive_only is False.  Output is deduplicated and
+    in lexicographic order.
     """
     if r < 1 or s < 1:
         raise ValueError("tuple sizes must be >= 1")
@@ -149,7 +167,7 @@ def enumerate_tuples(
             for total_b in b_sums:
                 if total_b < s:
                     continue
-                for b in _descending_tuples(s, total_b):
+                for b in _descending_tuples(s, total_b, a[0] - 1):
                     if set(a) & set(b):
                         continue
                     if primitive_only and gcd(*a, *b) != 1:

@@ -6,6 +6,7 @@ import pytest
 
 from qpositivity import cli
 from qpositivity.errors import IdentityViolation
+from qpositivity.qfactor import TupleSpec
 
 
 def run_cli(capsys, *argv):
@@ -153,6 +154,47 @@ class TestEnumerateCommand:
         assert captured.out == ""
 
 
+class TestDegreeGuard:
+    def test_oversized_dpoly_refused_quickly(self):
+        # degree 972000: building it would run for minutes
+        proc = subprocess.run(
+            [sys.executable, "-m", "qpositivity",
+             "dpoly", "--a", "30,1", "--b", "15,10,6", "--n", "60"],
+            capture_output=True,
+            text=True,
+            timeout=20,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert "degree 972000" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("sweep", "--a", "30,1", "--b", "15,10,6", "--n-max", "31"),
+            ("enumerate", "--r", "2", "--s", "3", "--sum-bound", "31", "--balanced",
+             "--sweep-n", "31"),
+        ],
+        ids=["sweep", "enumerate"],
+    )
+    def test_refused_before_building(self, capsys, monkeypatch, argv):
+        def no_build(*args, **kwargs):
+            raise AssertionError("nothing above the cap may be built")
+
+        monkeypatch.setattr(cli, "d_polynomial", no_build)
+        monkeypatch.setattr(cli, "d_n_sweep", no_build)
+        assert cli.main(list(argv)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"above the cap of {cli.MAX_DEGREE}" in captured.err
+
+    def test_cap_is_inclusive(self):
+        # D_500 of (2)/(1,1) has degree 500**2 = MAX_DEGREE exactly
+        cli._check_degree(TupleSpec((2,), (1, 1)), 500)
+        with pytest.raises(cli._UsageError):
+            cli._check_degree(TupleSpec((2,), (1, 1)), 501)
+
+
 class TestIdentitiesCommand:
     def test_all_pass(self, capsys):
         code, recs = run_cli(capsys, "identities", "--max-n", "3")
@@ -284,6 +326,32 @@ class TestDeterminismAndCaching:
         assert run_raw(capsys, *args, "--out", str(tmp_path)) == fresh
         assert list(tmp_path.iterdir()) == [path]
         assert json.loads(path.read_text())["records"]
+
+    @pytest.mark.parametrize(
+        "name, value", [("__version__", "0.0.0-other"), ("_CACHE_SCHEMA", 0)]
+    )
+    def test_cache_from_another_version_is_not_replayed(
+        self, capsys, tmp_path, monkeypatch, name, value
+    ):
+        args = (
+            "sweep", "--a", "2", "--b", "1,1", "--n-max", "3",
+            "--no-timing", "--out", str(tmp_path),
+        )
+        first = run_raw(capsys, *args)
+        (old,) = tmp_path.iterdir()
+        calls = []
+        compute = cli._DISPATCH["sweep"]
+
+        def counted(parsed):
+            calls.append(parsed)
+            return compute(parsed)
+
+        monkeypatch.setattr(cli, name, value)
+        monkeypatch.setitem(cli._DISPATCH, "sweep", counted)
+        assert run_raw(capsys, *args) == first
+        assert len(calls) == 1
+        assert len(list(tmp_path.iterdir())) == 2
+        assert old.exists()
 
     def test_replayed_exit_code_preserved(self, capsys, tmp_path):
         args = (

@@ -1,11 +1,14 @@
 from fractions import Fraction
+from itertools import combinations_with_replacement
+from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qpositivity.errors import Degenerate, NotPolynomial
 from qpositivity.landau import (
+    LandauVerdict,
     canonicalize,
     enumerate_tuples,
     floor_sum,
@@ -17,6 +20,32 @@ sides = st.lists(st.integers(1, 9), min_size=1, max_size=3).map(
     lambda v: tuple(sorted(v, reverse=True))
 )
 tuple_specs = st.builds(TupleSpec, sides, sides)
+wide_sides = st.lists(st.integers(1, 40), min_size=1, max_size=4).map(
+    lambda v: tuple(sorted(v, reverse=True))
+)
+
+
+def reference_landau(t: TupleSpec) -> LandauVerdict:
+    """The criterion by the rational route: every k/d over all entries, sorted.
+
+    Kept as an independent oracle for landau_check, which visits only the
+    denominator breakpoints, unsorted and in integers.
+    """
+    points = sorted({Fraction(k, d) for d in (*t.a, *t.b) for k in range(d)})
+    min_value, min_point = 0, Fraction(0)
+    for x in points:
+        v = floor_sum(t, x)
+        if v < min_value:
+            min_value, min_point = v, x
+    if min_value < 0:
+        return LandauVerdict(holds=False, witness=min_point, min_value=min_value)
+    drop = t.sum_b - t.sum_a
+    if drop <= 0:
+        return LandauVerdict(holds=True, witness=None, min_value=min_value)
+    shifts = min_value // drop + 1
+    return LandauVerdict(
+        holds=False, witness=min_point + shifts, min_value=min_value - shifts * drop
+    )
 
 
 class TestFloorSum:
@@ -65,6 +94,15 @@ class TestLandauCheck:
         ):
             v = landau_check(t)
             assert v.holds == (v.witness is None) == (v.min_value >= 0)
+
+
+@given(st.one_of(tuple_specs, st.builds(TupleSpec, wide_sides, wide_sides)))
+@example(TupleSpec((2,), (1, 1, 1)))  # sum-deficient, f >= 0 on [0, 1)
+@example(TupleSpec((3,), (2, 2)))  # sum-deficient, f < 0 on [0, 1)
+@example(TupleSpec((9, 6), (8, 7)))  # f = -1 first at 1/7, also at 5/8, 3/4, 7/8
+def test_verdict_matches_rational_reference(t):
+    # balanced, unbalanced and sum-deficient pairs alike
+    assert landau_check(t) == reference_landau(t)
 
 
 @given(tuple_specs)
@@ -189,6 +227,32 @@ class TestEnumerate:
             enumerate_tuples(0, 1, 4, balanced_only=True)
         with pytest.raises(ValueError):
             enumerate_tuples(1, 1, 1, balanced_only=True)
+
+    @pytest.mark.parametrize("r, s", [(1, 2), (2, 3)])
+    @pytest.mark.parametrize("balanced", [True, False])
+    @pytest.mark.parametrize("primitive", [True, False])
+    def test_matches_brute_force_through_reference(self, r, s, balanced, primitive):
+        # every disjoint descending pair with both sums <= 14, no pruning at all
+        top = 14
+
+        def descending(size):
+            return combinations_with_replacement(range(top, 0, -1), size)
+
+        passing = set()
+        for a in descending(r):
+            for b in descending(s):
+                if sum(a) > top or sum(b) > top or set(a) & set(b):
+                    continue
+                if balanced and sum(a) != sum(b):
+                    continue
+                if primitive and gcd(*a, *b) != 1:
+                    continue
+                if reference_landau(TupleSpec(a, b)).holds:
+                    passing.add((a, b))
+        for bound in range(2, top + 1):
+            expected = sorted(p for p in passing if sum(p[0]) <= bound)
+            got = enumerate_tuples(r, s, bound, balanced, primitive)
+            assert [(t.a, t.b) for t in got] == expected
 
     def test_enumerated_tuples_sweep_cleanly(self):
         ts = enumerate_tuples(1, 2, 6, balanced_only=True)
