@@ -21,7 +21,9 @@ by another version is not replayed.  The file is written atomically; one that
 cannot be read back is recomputed and overwritten.
 
 dpoly, sweep and enumerate --sweep-n refuse, as a usage error, any D_n whose
-degree sum(C(n*a_i, 2)) - sum(C(n*b_j, 2)) exceeds MAX_DEGREE.
+degree sum(C(n*a_i, 2)) - sum(C(n*b_j, 2)) exceeds MAX_DEGREE; borwein refuses
+--n-max above MAX_BORWEIN_N, and rpoly refuses r*n**2 + s*m**2 (a bound on the
+degree of its alternating sum) above MAX_RPOLY_SIZE.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import itertools
 import json
 import os
 import sys
@@ -60,6 +63,8 @@ from .qfactor import TupleSpec, classical_ratio, d_polynomial, d_n_sweep
 MAX_SUM_BOUND = 64
 MAX_DEGREE = 250_000
 MAX_IDENTITY_N = 16
+MAX_BORWEIN_N = 40
+MAX_RPOLY_SIZE = 4_000
 # Bumped whenever the record layout changes, so --out never replays an old shape.
 _CACHE_SCHEMA = 1
 
@@ -336,91 +341,54 @@ def _cmd_enumerate(args) -> list[dict]:
     return _map(_tuple_sweep_record, tasks, args.jobs)
 
 
-def _identity_record(echo: dict, name: str, failures: list, cases: int, started: float) -> dict:
-    status = "ok" if not failures else "identity-violation"
-    payload = {"identity": name, "cases": cases, "failures": failures}
-    return _record("identities", dict(echo, identity=name), status, payload, started)
+def _super_catalan_agrees(n: int, m: int) -> bool:
+    direct = super_catalan_q_direct(n, m)
+    return (
+        direct == super_catalan_q_recurrence(n, m) == von_szily_q(n, m)
+        and direct == super_catalan_q_direct(m, n)
+        and direct.evaluate(1) == von_szily_classical(n, m)
+    )
 
 
 def _cmd_identities(args) -> list[dict]:
     if args.max_n > MAX_IDENTITY_N:
         raise _UsageError(f"--max-n is capped at {MAX_IDENTITY_N}")
-    top = args.max_n
-    echo = {"max_n": top}
+    echo = {"max_n": args.max_n}
+    span = range(args.max_n + 1)
+    # (name, case keys, cases, check): built on each call, so the checks are
+    # whatever the module globals hold now, and the cases are generated lazily.
+    table = [
+        ("super-catalan-three-way", ("n", "m"), itertools.product(span, span),
+         _super_catalan_agrees),
+        ("b-recurrence", ("n", "m"), ((n, m) for n in span for m in range(n + 1)),
+         lambda n, m: b_poly_direct(n, m) == b_poly_recurrence(n, m)),
+        ("chu-vandermonde", ("a", "b", "c"), itertools.product(span, span, span),
+         chu_vandermonde_check),
+        ("double-chu-vandermonde", ("n", "p"), itertools.product(span, span), e_main_check),
+        ("q-binomial-theorem", ("n",), itertools.product(span), q_binomial_theorem_check),
+        ("r-unit-shift", ("n", "m"), itertools.product(span, span),
+         lambda n, m: r_poly(n, m, 1, 1) == IntPoly.monomial(n * m)),
+    ]
     records = []
-
-    started = time.perf_counter()
-    failures, cases = [], 0
-    for n in range(top + 1):
-        for m in range(top + 1):
-            cases += 1
-            direct = super_catalan_q_direct(n, m)
-            ok = True
+    for name, keys, cases, check in table:
+        started = time.perf_counter()
+        failures, count = [], 0
+        for count, case in enumerate(cases, start=1):
             try:
-                ok = (
-                    direct == super_catalan_q_recurrence(n, m) == von_szily_q(n, m)
-                    and direct == super_catalan_q_direct(m, n)
-                    and direct.evaluate(1) == von_szily_classical(n, m)
-                )
+                ok = check(*case)
             except IdentityViolation:
                 ok = False
             if not ok:
-                failures.append({"n": n, "m": m})
-    records.append(_identity_record(echo, "super-catalan-three-way", failures, cases, started))
-
-    started = time.perf_counter()
-    failures, cases = [], 0
-    for n in range(top + 1):
-        for m in range(n + 1):
-            cases += 1
-            if b_poly_direct(n, m) != b_poly_recurrence(n, m):
-                failures.append({"n": n, "m": m})
-    records.append(_identity_record(echo, "b-recurrence", failures, cases, started))
-
-    started = time.perf_counter()
-    failures, cases = [], 0
-    for a in range(top + 1):
-        for b in range(top + 1):
-            for c in range(top + 1):
-                cases += 1
-                if not chu_vandermonde_check(a, b, c):
-                    failures.append({"a": a, "b": b, "c": c})
-    records.append(_identity_record(echo, "chu-vandermonde", failures, cases, started))
-
-    started = time.perf_counter()
-    failures, cases = [], 0
-    for n in range(top + 1):
-        for p in range(top + 1):
-            cases += 1
-            if not e_main_check(n, p):
-                failures.append({"n": n, "p": p})
-    records.append(_identity_record(echo, "double-chu-vandermonde", failures, cases, started))
-
-    started = time.perf_counter()
-    failures, cases = [], 0
-    for n in range(top + 1):
-        cases += 1
-        if not q_binomial_theorem_check(n):
-            failures.append({"n": n})
-    records.append(_identity_record(echo, "q-binomial-theorem", failures, cases, started))
-
-    started = time.perf_counter()
-    failures, cases = [], 0
-    for n in range(top + 1):
-        for m in range(top + 1):
-            cases += 1
-            try:
-                ok = r_poly(n, m, 1, 1) == IntPoly.monomial(n * m)
-            except IdentityViolation:
-                ok = False
-            if not ok:
-                failures.append({"n": n, "m": m})
-    records.append(_identity_record(echo, "r-unit-shift", failures, cases, started))
-
+                failures.append(dict(zip(keys, case)))
+        status = "ok" if not failures else "identity-violation"
+        payload = {"identity": name, "cases": count, "failures": failures}
+        records.append(_record("identities", dict(echo, identity=name), status, payload, started))
     return records
 
 
 def _cmd_borwein(args) -> list[dict]:
+    if args.n_max > MAX_BORWEIN_N:
+        raise _UsageError(f"--n-max is capped at {MAX_BORWEIN_N}")
     echo = {"n_max": args.n_max}
     records = []
     for n in range(args.n_max + 1):
@@ -432,6 +400,9 @@ def _cmd_borwein(args) -> list[dict]:
 
 
 def _cmd_rpoly(args) -> list[dict]:
+    size = args.r * args.n**2 + args.s * args.m**2
+    if size > MAX_RPOLY_SIZE:
+        raise _UsageError(f"r*n^2 + s*m^2 is {size}, above the cap of {MAX_RPOLY_SIZE}")
     started = time.perf_counter()
     echo = {"n": args.n, "m": args.m, "r": args.r, "s": args.s}
     try:
@@ -491,21 +462,17 @@ def _emit(records: list[dict], fmt: str, no_timing: bool) -> None:
         print(json.dumps(rec, sort_keys=True))
 
 
-def _cache_key(command: str, args) -> dict:
-    keys = {
-        "landau": ("a", "b", "raw"),
-        "dpoly": ("a", "b", "n", "raw"),
-        "sweep": ("a", "b", "n_max", "raw", "full"),
-        "enumerate": ("r", "s", "sum_bound", "balanced", "sweep_n", "full"),
-        "identities": ("max_n",),
-        "borwein": ("n_max", "full"),
-        "rpoly": ("n", "m", "r", "s"),
-    }[command]
-    params = {}
-    for key in keys:
-        value = getattr(args, key)
-        params[key] = list(value) if isinstance(value, tuple) else value
-    return params
+# Flags that shape only how a run is printed or scheduled, never its records.
+_NOT_KEYED = {"command", "format", "out", "jobs", "no_timing"}
+
+
+def _cache_key(args) -> dict:
+    """Every parsed option that can change the records, as JSON-ready values."""
+    return {
+        key: list(value) if isinstance(value, tuple) else value
+        for key, value in vars(args).items()
+        if key not in _NOT_KEYED
+    }
 
 
 def _load_records(path: str) -> list[dict] | None:
@@ -539,7 +506,7 @@ def main(argv=None) -> int:
     if args.out:
         key = {
             "command": args.command,
-            "params": _cache_key(args.command, args),
+            "params": _cache_key(args),
             "schema": _CACHE_SCHEMA,
             "version": __version__,
         }

@@ -5,11 +5,11 @@ precision) integer coefficient of q^i.  The sequence never ends in a zero, and
 the zero polynomial is the empty sequence, so ``degree`` is ``len(coeffs) - 1``
 for nonzero polynomials and undefined (``None``) for zero.
 
-Multiplication is schoolbook below a size threshold.  Above it, operands are
-packed into big integers (fixed signed slot per coefficient) and multiplied as
-integers — one big-int multiplication replaces the whole convolution — using
-gmpy2 when available.  Both paths are exact; the packed path is checked against
-schoolbook by the property tests.
+Multiplication is schoolbook below a size threshold.  Above it, it is Kronecker
+substitution in offset binary: each coefficient c is stored as c + half in a
+fixed-width unsigned slot, both operands become one Python int each, and one
+big-int product replaces the whole convolution.  Both paths are exact; the
+packed path is checked against schoolbook by the property tests.
 
 Values are immutable after construction and safe to share between threads.
 """
@@ -20,11 +20,6 @@ import functools
 from typing import Iterable, Iterator
 
 from .errors import NotDivisible
-
-try:
-    from gmpy2 import mpz as _mpz
-except ImportError:  # pragma: no cover - gmpy2 is an optional extra
-    _mpz = None
 
 # Use schoolbook while len(p) * len(r) is below this; packing overhead loses
 # on small operands.
@@ -228,65 +223,36 @@ def _mul_schoolbook(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
     return out
 
 
-def _pack(coeffs: tuple[int, ...], width: int) -> int:
-    """Evaluate the polynomial at 2**(8*width), exactly, via byte packing."""
-    pos = bytearray(len(coeffs) * width)
-    neg = None
-    for i, c in enumerate(coeffs):
-        if c > 0:
-            pos[i * width : (i + 1) * width] = c.to_bytes(width, "little")
-        elif c < 0:
-            if neg is None:
-                neg = bytearray(len(coeffs) * width)
-            neg[i * width : (i + 1) * width] = (-c).to_bytes(width, "little")
-    n = int.from_bytes(pos, "little")
-    if neg is not None:
-        n -= int.from_bytes(neg, "little")
-    return n
-
-
-def _unpack(n: int, width: int, count: int) -> list[int]:
-    """Recover `count` signed base-2**(8*width) digits of n (balanced form)."""
-    negate = n < 0
-    if negate:
-        n = -n
-    raw = n.to_bytes(count * width, "little")
-    half = 1 << (8 * width - 1)
-    full = half << 1
-    out = []
-    carry = 0
-    for i in range(count):
-        d = int.from_bytes(raw[i * width : (i + 1) * width], "little") + carry
-        if d >= half:
-            out.append(d - full)
-            carry = 1
-        else:
-            out.append(d)
-            carry = 0
-    if carry:
-        raise AssertionError("packed multiplication overflowed its slot width")
-    if negate:
-        out = [-d for d in out]
-    return out
-
-
 def _mul_packed(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
-    # Slot width: every convolution coefficient is a sum of at most
-    # min(len(a), len(b)) products, so it fits strictly below half a slot.
+    """The product of a and b by Kronecker substitution in offset binary.
+
+    Each operand is packed with every coefficient c stored as c + half in a
+    width-byte little-endian slot, minus the all-half pattern, which leaves
+    the value of the polynomial at 2**(8*width).  Adding the all-half pattern
+    to the product puts every product coefficient c back as c + half in its
+    own slot, with no carry between slots.
+    """
+    # Every product coefficient is a sum of at most min(len(a), len(b))
+    # products, so its magnitude is below 2**(bits - 1) <= half.
     bits = (
         max(map(abs, a)).bit_length()
         + max(map(abs, b)).bit_length()
         + min(len(a), len(b)).bit_length()
         + 1
     )
-    width = (bits + 8) // 8
-    pa = _pack(a, width)
-    pb = _pack(b, width)
-    if _mpz is not None:
-        prod = int(_mpz(pa) * _mpz(pb))
-    else:
-        prod = pa * pb
-    return _unpack(prod, width, len(a) + len(b) - 1)
+    width = (bits + 7) // 8
+    half = 1 << (8 * width - 1)
+    halves = bytes(width - 1) + b"\x80"  # half as one little-endian slot
+
+    def evaluate(cs: tuple[int, ...]) -> int:
+        packed = b"".join([(c + half).to_bytes(width, "little") for c in cs])
+        return int.from_bytes(packed, "little") - int.from_bytes(halves * len(cs), "little")
+
+    count = len(a) + len(b) - 1
+    biased = evaluate(a) * evaluate(b) + int.from_bytes(halves * count, "little")
+    # The overflow guard: a product that does not fit count slots raises OverflowError.
+    raw = biased.to_bytes(count * width, "little")
+    return [int.from_bytes(raw[i : i + width], "little") - half for i in range(0, len(raw), width)]
 
 
 @functools.cache

@@ -6,6 +6,7 @@ import pytest
 
 from qpositivity import cli
 from qpositivity.errors import IdentityViolation
+from qpositivity.polyring import IntPoly
 from qpositivity.qfactor import TupleSpec
 
 
@@ -220,6 +221,66 @@ class TestIdentitiesCommand:
         assert cli.main(["identities", "--max-n", "17"]) == 1
         capsys.readouterr()
 
+    def test_failing_and_raising_checks_are_reported(self, capsys, monkeypatch):
+        def fails_once(a, b, c):
+            return (a, b, c) != (1, 0, 1)
+
+        def raises_once(n, p):
+            if (n, p) == (0, 1):
+                raise IdentityViolation("forced for the test")
+            return True
+
+        monkeypatch.setattr(cli, "chu_vandermonde_check", fails_once)
+        monkeypatch.setattr(cli, "e_main_check", raises_once)
+        code, recs = run_cli(capsys, "identities", "--max-n", "1")
+        assert code == 3
+        by_name = {rec["payload"]["identity"]: rec for rec in recs}
+        chu = by_name.pop("chu-vandermonde")
+        assert chu["status"] == "identity-violation"
+        assert chu["payload"]["cases"] == 8
+        assert chu["payload"]["failures"] == [{"a": 1, "b": 0, "c": 1}]
+        double = by_name.pop("double-chu-vandermonde")
+        assert double["status"] == "identity-violation"
+        assert double["payload"]["cases"] == 4
+        assert double["payload"]["failures"] == [{"n": 0, "p": 1}]
+        assert all(rec["status"] == "ok" for rec in by_name.values())
+
+
+class TestSizeCaps:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("borwein", "--n-max", "80"), f"--n-max is capped at {cli.MAX_BORWEIN_N}"),
+            (
+                ("rpoly", "--n", "40", "--m", "40", "--r", "3", "--s", "3"),
+                f"is 9600, above the cap of {cli.MAX_RPOLY_SIZE}",
+            ),
+        ],
+        ids=["borwein", "rpoly"],
+    )
+    def test_oversized_run_refused_quickly(self, argv, message):
+        # unrefused, each of these runs for seconds and takes hundreds of MiB
+        proc = subprocess.run(
+            [sys.executable, "-m", "qpositivity", *argv],
+            capture_output=True,
+            text=True,
+            timeout=20,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert message in proc.stderr
+
+    def test_caps_are_inclusive(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "borwein_sum", lambda n: IntPoly.one())
+        monkeypatch.setattr(cli, "r_poly", lambda n, m, r, s: IntPoly.one())
+        top = str(cli.MAX_BORWEIN_N)
+        assert cli.main(["borwein", "--n-max", top]) == 0
+        assert cli.main(["borwein", "--n-max", str(cli.MAX_BORWEIN_N + 1)]) == 1
+        # 10 * 20**2 == MAX_RPOLY_SIZE
+        assert cli.main(["rpoly", "--n", "20", "--m", "0", "--r", "10", "--s", "1"]) == 0
+        assert cli.main(["rpoly", "--n", "20", "--m", "1", "--r", "10", "--s", "1"]) == 1
+        capsys.readouterr()
+
 
 class TestBorweinAndRpoly:
     def test_borwein(self, capsys):
@@ -305,6 +366,20 @@ class TestDeterminismAndCaching:
         run_raw(capsys, *base, "--n-max", "2")
         run_raw(capsys, *base, "--n-max", "3")
         assert len(list(tmp_path.iterdir())) == 2
+
+    def test_output_only_flags_replay_one_file(self, capsys, tmp_path, monkeypatch):
+        args = ("sweep", "--a", "2", "--b", "1,1", "--n-max", "3", "--out", str(tmp_path))
+        run_raw(capsys, *args)
+        (path,) = tmp_path.iterdir()
+
+        def boom(_args):
+            raise AssertionError("cache should have been used")
+
+        monkeypatch.setitem(cli._DISPATCH, "sweep", boom)
+        # two --jobs values, so one of them differs from the default
+        for extra in (("--jobs", "1"), ("--jobs", "7"), ("--format", "csv"), ("--no-timing",)):
+            assert run_raw(capsys, *args, *extra)[0] == 0
+        assert list(tmp_path.iterdir()) == [path]
 
     @pytest.mark.parametrize(
         "corrupt",

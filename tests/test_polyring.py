@@ -164,6 +164,36 @@ def test_packed_multiplication_large_random():
         )
 
 
+@pytest.mark.parametrize("bits", [1, 7, 8, 9, 15, 16, 17, 63, 64, 65])
+@pytest.mark.parametrize("length", [1, 3, 255, 256])
+def test_packed_multiplication_at_the_width_limits(bits, length):
+    # Every magnitude is the largest of its bit length, so the middle
+    # coefficient of the square product reaches the bound the slot width is
+    # sized from, and against a one-term operand every coefficient reaches it.
+    top = 2**bits - 1
+    for sign_a, sign_b in [(1, 1), (1, -1), (-1, 1), (-1, -1)]:
+        a = (sign_a * top,) * length
+        for b in [(sign_b * top,) * length, (sign_b * top,)]:
+            assert _mul_packed(a, b) == _mul_schoolbook(a, b)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 8])
+def test_packed_multiplication_on_byte_boundaries(k):
+    # Magnitudes 2**(8k-1) fill k bytes exactly; one less fits in k bytes
+    # with the top bit clear.
+    edge = 2 ** (8 * k - 1)
+    operands = [
+        (edge,) * 33,
+        (-edge,) * 33,
+        (edge, -edge) * 16,
+        (-edge, 0, edge - 1, 1 - edge) * 8,
+        (edge - 1,) * 40,
+    ]
+    for a in operands:
+        for b in operands:
+            assert _mul_packed(a, b) == _mul_schoolbook(a, b)
+
+
 class TestCyclotomic:
     def test_first_cases(self):
         assert cyclotomic(1) == poly(-1, 1)
