@@ -182,8 +182,7 @@ def _record(command: str, input_echo: dict, status: str, payload: dict, started:
 
 def _check_degree(spec: TupleSpec, n: int) -> None:
     """Refuse D_n of spec above MAX_DEGREE, before anything is built."""
-    degree = sum(x * n * (x * n - 1) // 2 for x in spec.a)
-    degree -= sum(x * n * (x * n - 1) // 2 for x in spec.b)
+    degree = spec.scaled(n).degree
     if degree > MAX_DEGREE:
         raise _UsageError(
             f"D_{n} of a={list(spec.a)}, b={list(spec.b)} has degree {degree},"
@@ -511,7 +510,12 @@ def main(argv=None) -> int:
             "version": __version__,
         }
         digest = hashlib.sha256(json.dumps(key, sort_keys=True).encode()).hexdigest()[:16]
-        os.makedirs(args.out, exist_ok=True)
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            msg = f"cannot use --out {args.out} as a directory: {exc.strerror}"
+            print(f"qpos {args.command}: error: {msg}", file=sys.stderr)
+            return 1
         out_path = os.path.join(args.out, f"{args.command}-{digest}.json")
         records = _load_records(out_path)
         if records is not None:

@@ -15,6 +15,7 @@ exponent returns a float, which is why signs are taken from k's parity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 from math import comb
 
@@ -101,9 +102,6 @@ def super_catalan_q_direct(n: int, m: int) -> IntPoly:
     return d_polynomial(_ratio_spec((2 * n, 2 * m), (n, n + m, m)))
 
 
-_A_MEMO: dict[tuple[int, int], IntPoly] = {}
-
-
 def super_catalan_q_recurrence(n: int, m: int) -> IntPoly:
     """A_{n,m}(q) by the index-gap recurrence
 
@@ -118,22 +116,22 @@ def super_catalan_q_recurrence(n: int, m: int) -> IntPoly:
     return _a_recur(min(n, m), max(n, m))
 
 
+def _gap_sum(n: int, p: int, k: int) -> IntPoly:
+    """sum_{j=k}^{p-k} q^{k(n+k)+j(n+j)} [p-2k over j-k], shared by both recurrences."""
+    total = IntPoly.zero()
+    for j in range(k, p - k + 1):
+        total = total + q_binomial(p - 2 * k, j - k).shifted(k * (n + k) + j * (n + j))
+    return total
+
+
+@cache
 def _a_recur(lo: int, hi: int) -> IntPoly:
     if lo == 0 or lo == hi:
         return q_binomial(2 * hi, hi)
-    cached = _A_MEMO.get((lo, hi))
-    if cached is not None:
-        return cached
     n, p = lo, hi - lo
     total = IntPoly.zero()
     for k in range(p // 2 + 1):
-        inner = IntPoly.zero()
-        for j in range(k, p - k + 1):
-            inner = inner + q_binomial(p - 2 * k, j - k).shifted(
-                k * (n + k) + j * (n + j)
-            )
-        total = total + _a_recur(min(n, k), max(n, k)) * q_binomial(p, 2 * k) * inner
-    _A_MEMO[(lo, hi)] = total
+        total = total + _a_recur(min(n, k), max(n, k)) * q_binomial(p, 2 * k) * _gap_sum(n, p, k)
     return total
 
 
@@ -187,9 +185,6 @@ def b_poly_direct(n: int, m: int) -> IntPoly:
     return d_polynomial(_ratio_spec((2 * n, m), (n, 2 * m, n - m)))
 
 
-_B_MEMO: dict[tuple[int, int], IntPoly] = {}
-
-
 def b_poly_recurrence(n: int, m: int) -> IntPoly:
     """B_{n,m}(q) by the companion recurrence (base m, offset p = n - m):
 
@@ -202,22 +197,13 @@ def b_poly_recurrence(n: int, m: int) -> IntPoly:
     return _b_recur(m, n - m)
 
 
-def _b_recur(base: int, p: int) -> IntPoly:
+@cache
+def _b_recur(n: int, p: int) -> IntPoly:
     if p == 0:
         return IntPoly.one()
-    cached = _B_MEMO.get((base + p, base))
-    if cached is not None:
-        return cached
-    n = base
     total = IntPoly.zero()
     for k in range(p // 2 + 1):
-        inner = IntPoly.zero()
-        for j in range(k, p - k + 1):
-            inner = inner + q_binomial(p - 2 * k, j - k).shifted(
-                k * (n + k) + j * (n + j)
-            )
-        total = total + _b_recur(base, k) * q_binomial(2 * n + p, 2 * n + 2 * k) * inner
-    _B_MEMO[(base + p, base)] = total
+        total = total + _b_recur(n, k) * q_binomial(2 * n + p, 2 * n + 2 * k) * _gap_sum(n, p, k)
     return total
 
 

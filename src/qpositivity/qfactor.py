@@ -66,6 +66,11 @@ class TupleSpec:
         return sum(self.b)
 
     @property
+    def degree(self) -> int:
+        """Degree of the ratio polynomial: sum C(a_i, 2) - sum C(b_j, 2)."""
+        return sum(x * (x - 1) // 2 for x in self.a) - sum(x * (x - 1) // 2 for x in self.b)
+
+    @property
     def max_entry(self) -> int:
         return max(max(self.a), max(self.b))
 
@@ -93,7 +98,7 @@ def q_integer(n: int) -> IntPoly:
     return IntPoly((1,) * n)
 
 
-_QFACT: dict[int, IntPoly] = {0: IntPoly.one()}
+_QFACT: list[IntPoly] = [IntPoly.one()]
 
 
 def q_factorial(n: int) -> IntPoly:
@@ -103,14 +108,9 @@ def q_factorial(n: int) -> IntPoly:
     """
     if n < 0:
         raise ValueError("q_factorial is defined for n >= 0")
-    top = len(_QFACT) - 1  # keys are always contiguous 0..top
-    if n <= top:
-        return _QFACT[n]
-    poly = _QFACT[top]
-    for i in range(top + 1, n + 1):
-        poly = poly * q_integer(i)
-        _QFACT[i] = poly
-    return poly
+    while len(_QFACT) <= n:
+        _QFACT.append(_QFACT[-1] * q_integer(len(_QFACT)))
+    return _QFACT[n]
 
 
 _QBINOM: dict[tuple[int, int], IntPoly] = {}
@@ -120,37 +120,25 @@ def q_binomial(n: int, m: int) -> IntPoly:
     """The Gaussian polynomial, by the q-Pascal recurrence.
 
     [n, m] = [n-1, m-1] + q**m * [n-1, m], with [n, 0] = [n, n] = 1.
-    Returns the zero polynomial when m < 0 or m > n.  Memoized on (n, m); the
-    work list below replaces recursion so deep triangles cannot overflow the
-    interpreter stack.
+    Returns the zero polynomial when m < 0 or m > n.  Memoized on (n, m); a
+    miss fills the missing entries of the parallelogram 0 <= j <= m,
+    0 <= i - j <= n - m that [n, m] depends on, row by row and without
+    recursion, so deep triangles cannot overflow the interpreter stack.
     """
     if n < 0:
         raise ValueError("q_binomial upper index must be >= 0")
     if m < 0 or m > n:
         return IntPoly.zero()
     memo = _QBINOM
-    top = (n, m)
-    if top in memo:
-        return memo[top]
-    stack = [top]
-    while stack:
-        nn, mm = stack[-1]
-        if (nn, mm) in memo:
-            stack.pop()
-            continue
-        if mm == 0 or mm == nn:
-            memo[(nn, mm)] = IntPoly.one()
-            stack.pop()
-            continue
-        left = (nn - 1, mm - 1)
-        right = (nn - 1, mm)
-        missing = [k for k in (left, right) if k not in memo]
-        if missing:
-            stack.extend(missing)
-            continue
-        memo[(nn, mm)] = memo[left] + memo[right].shifted(mm)
-        stack.pop()
-    return memo[top]
+    if (n, m) in memo:
+        return memo[n, m]
+    for i in range(n + 1):
+        for j in range(max(0, i - n + m), min(i, m) + 1):
+            if (i, j) not in memo:
+                memo[i, j] = (
+                    memo[i - 1, j - 1] + memo[i - 1, j].shifted(j) if 0 < j < i else IntPoly.one()
+                )
+    return memo[n, m]
 
 
 def ratio_exponents(t: TupleSpec) -> CycloExponents:
@@ -186,7 +174,7 @@ def d_polynomial(t: TupleSpec) -> IntPoly:
             f"{ce.exponents[bad]}",
             ell=bad,
         )
-    degree = sum(x * (x - 1) // 2 for x in t.a) - sum(x * (x - 1) // 2 for x in t.b)
+    degree = t.degree
     series = [1] + [0] * (degree // 2)
     size = len(series)
     # (k, power of 1 - q^k); factors with k >= size are 1 modulo q^size

@@ -436,6 +436,21 @@ class TestDeterminismAndCaching:
         assert run_raw(capsys, *args)[0] == 2
         assert run_raw(capsys, *args)[0] == 2  # replayed from disk
 
+    @pytest.mark.parametrize("target", ["taken", "taken/sub"])
+    def test_out_that_is_not_a_directory_is_refused(self, capsys, tmp_path, monkeypatch, target):
+        (tmp_path / "taken").write_text("keep\n")
+
+        def boom(_args):
+            raise AssertionError("nothing should be computed")
+
+        monkeypatch.setitem(cli._DISPATCH, "landau", boom)
+        code = cli.main(["landau", "--a", "2", "--b", "1,1", "--out", str(tmp_path / target)])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == ""
+        assert err.startswith("qpos landau: error: cannot use --out")
+        assert (tmp_path / "taken").read_text() == "keep\n"
+
 
 def test_module_entry_point():
     proc = subprocess.run(

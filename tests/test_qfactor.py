@@ -1,10 +1,13 @@
 import math
+import random
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qpositivity import qfactor
 from qpositivity.errors import NotPolynomial
 from qpositivity.polyring import IntPoly, cyclotomic
 from qpositivity.qfactor import (
@@ -119,6 +122,19 @@ class TestQBinomial:
                 t = TupleSpec((n,), (n - m, m))
                 assert q_binomial(n, m) == d_polynomial(t), (n, m)
 
+    def test_deep_triangle_does_not_recurse(self, monkeypatch):
+        monkeypatch.setattr(qfactor, "_QBINOM", {})
+        n = sys.getrecursionlimit() + 200
+        assert q_binomial(n, 1) == q_binomial(n, n - 1) == q_integer(n)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_fill_is_independent_of_request_order(self, monkeypatch, seed):
+        monkeypatch.setattr(qfactor, "_QBINOM", {})
+        pairs = [(n, m) for n in range(2, 22) for m in range(1, n)]
+        random.Random(seed).shuffle(pairs)
+        for n, m in pairs:
+            assert q_binomial(n, m) == d_polynomial(TupleSpec((n,), (m, n - m))), (n, m)
+
 
 class TestRatioExponents:
     def test_central_binomial(self):
@@ -191,6 +207,7 @@ def test_routes_agree(t):
             d_polynomial_naive(t)
         return
     assert fast == d_polynomial_naive(t)
+    assert fast.degree == t.degree
 
 
 @settings(max_examples=150)
