@@ -14,6 +14,7 @@ from .errors import (
 )
 from .identities import (
     PositivityReport,
+    b_poly_check,
     b_poly_direct,
     b_poly_recurrence,
     borwein_sum,
@@ -22,6 +23,8 @@ from .identities import (
     positivity_report,
     q_binomial_theorem_check,
     r_poly,
+    r_unit_shift_check,
+    super_catalan_check,
     super_catalan_q_direct,
     super_catalan_q_recurrence,
     von_szily_classical,
@@ -63,6 +66,7 @@ __all__ = [
     "PositivityReport",
     "QPositivityError",
     "TupleSpec",
+    "b_poly_check",
     "b_poly_direct",
     "b_poly_recurrence",
     "borwein_sum",
@@ -83,7 +87,9 @@ __all__ = [
     "q_factorial",
     "q_integer",
     "r_poly",
+    "r_unit_shift_check",
     "ratio_exponents",
+    "super_catalan_check",
     "super_catalan_q_direct",
     "super_catalan_q_recurrence",
     "von_szily_classical",

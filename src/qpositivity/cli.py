@@ -18,7 +18,8 @@ JSON file keyed by a hash of the command and its parameters, and a later
 identical invocation replays the stored records instead of recomputing.  The
 key also holds the package version and the record schema, so a file written
 by another version is not replayed.  The file is written atomically; one that
-cannot be read back is recomputed and overwritten.
+cannot be read back, whose stored key differs, or whose records lack the shape
+above is recomputed and overwritten.
 
 dpoly, sweep and enumerate --sweep-n refuse, as a usage error, any D_n whose
 degree sum(C(n*a_i, 2)) - sum(C(n*b_j, 2)) exceeds MAX_DEGREE; borwein refuses
@@ -43,18 +44,15 @@ from fractions import Fraction
 from . import __version__
 from .errors import Degenerate, IdentityViolation, NotPolynomial
 from .identities import (
-    b_poly_direct,
-    b_poly_recurrence,
+    b_poly_check,
     borwein_sum,
     chu_vandermonde_check,
     e_main_check,
     positivity_report,
     q_binomial_theorem_check,
     r_poly,
-    super_catalan_q_direct,
-    super_catalan_q_recurrence,
-    von_szily_classical,
-    von_szily_q,
+    r_unit_shift_check,
+    super_catalan_check,
 )
 from .landau import canonicalize, enumerate_tuples, landau_check
 from .polyring import IntPoly
@@ -340,15 +338,6 @@ def _cmd_enumerate(args) -> list[dict]:
     return _map(_tuple_sweep_record, tasks, args.jobs)
 
 
-def _super_catalan_agrees(n: int, m: int) -> bool:
-    direct = super_catalan_q_direct(n, m)
-    return (
-        direct == super_catalan_q_recurrence(n, m) == von_szily_q(n, m)
-        and direct == super_catalan_q_direct(m, n)
-        and direct.evaluate(1) == von_szily_classical(n, m)
-    )
-
-
 def _cmd_identities(args) -> list[dict]:
     if args.max_n > MAX_IDENTITY_N:
         raise _UsageError(f"--max-n is capped at {MAX_IDENTITY_N}")
@@ -358,15 +347,14 @@ def _cmd_identities(args) -> list[dict]:
     # whatever the module globals hold now, and the cases are generated lazily.
     table = [
         ("super-catalan-three-way", ("n", "m"), itertools.product(span, span),
-         _super_catalan_agrees),
+         super_catalan_check),
         ("b-recurrence", ("n", "m"), ((n, m) for n in span for m in range(n + 1)),
-         lambda n, m: b_poly_direct(n, m) == b_poly_recurrence(n, m)),
+         b_poly_check),
         ("chu-vandermonde", ("a", "b", "c"), itertools.product(span, span, span),
          chu_vandermonde_check),
         ("double-chu-vandermonde", ("n", "p"), itertools.product(span, span), e_main_check),
         ("q-binomial-theorem", ("n",), itertools.product(span), q_binomial_theorem_check),
-        ("r-unit-shift", ("n", "m"), itertools.product(span, span),
-         lambda n, m: r_poly(n, m, 1, 1) == IntPoly.monomial(n * m)),
+        ("r-unit-shift", ("n", "m"), itertools.product(span, span), r_unit_shift_check),
     ]
     records = []
     for name, keys, cases, check in table:
@@ -474,12 +462,31 @@ def _cache_key(args) -> dict:
     }
 
 
-def _load_records(path: str) -> list[dict] | None:
-    """The records cached at path; None if it is missing, unreadable or corrupt."""
+def _is_record(rec, command: str) -> bool:
+    return (
+        isinstance(rec, dict)
+        and rec.get("command") == command
+        and isinstance(rec.get("input"), dict)
+        and isinstance(rec.get("payload"), dict)
+        and rec.get("status") in _STATUS_EXIT
+    )
+
+
+def _load_records(path: str, key: dict) -> list[dict] | None:
+    """The records cached at path under key; None if missing, unreadable or malformed.
+
+    The stored command, params, schema and version must equal key's, and
+    every record must have the shape `_record` gives it.
+    """
     try:
         with open(path, encoding="utf-8") as handle:
-            records = json.load(handle)["records"]
-        if isinstance(records, list) and all(rec["status"] in _STATUS_EXIT for rec in records):
+            blob = json.load(handle)
+        records = blob["records"]
+        if (
+            all(blob[name] == value for name, value in key.items())
+            and isinstance(records, list)
+            and all(_is_record(rec, key["command"]) for rec in records)
+        ):
             return records
     except (OSError, ValueError, LookupError, TypeError):
         pass
@@ -517,7 +524,7 @@ def main(argv=None) -> int:
             print(f"qpos {args.command}: error: {msg}", file=sys.stderr)
             return 1
         out_path = os.path.join(args.out, f"{args.command}-{digest}.json")
-        records = _load_records(out_path)
+        records = _load_records(out_path, key)
         if records is not None:
             _emit(records, args.format, args.no_timing)
             return _exit_code(records)

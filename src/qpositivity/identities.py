@@ -3,8 +3,33 @@
 Every function here is an exact polynomial computation; equalities between
 routes (direct factorial ratio vs. recurrence vs. alternating sum) are what
 the test suite and the `identities` CLI command verify.  A mismatch means an
-implementation bug, never numerical noise, so the checks use `==` on
-coefficient tuples.
+implementation bug, never numerical noise.
+
+The sums and recurrences are computed in the Kronecker image: a polynomial
+P stands for the one integer P(2**W), so products are int products,
+multiplying by q**k is a shift by W*k bits and sums are int sums.  P -> P(2**W)
+is a ring map, so each computed image is the image of the polynomial the
+code denotes.  The checks compare images with `==` and never decode them;
+functions that return an IntPoly read its coefficients back as the signed
+W-bit digits of the image.
+
+Equal images mean equal polynomials once W is wide enough: if every
+coefficient of P and of Q is below 2**(W-1) in absolute value, the lowest
+nonzero coefficient c_j of P - Q has 0 < |c_j| < 2**W, so
+P(2**W) - Q(2**W) = 2**(W*j) * (c_j + 2**W * r) is not zero.  Every check
+derives W from coefficient bounds that never use the image:
+
+* a side given as an IntPoly (the factorial-ratio routes): its largest
+  |coefficient|;
+* a sum of products of Gaussian polynomials has non-negative coefficients,
+  so its value at q = 1, a sum of products of `math.comb`, bounds them;
+* an alternating sum is bounded by the sum of its terms' values at q = 1;
+* the A and B recurrences have non-negative coefficients too; their value
+  at q = 1 is the same recurrence run at W = 0, since 2**0 = 1.
+
+W is rounded up to a multiple of 64, so one image q-Pascal memo serves a
+whole run: the largest bound `qpos identities --max-n 16` meets is
+Sum_k C(32, 16+k)**2 = C(64, 32) < 2**61, so W = 64 throughout.
 
 Alternating sums written over k in (-inf, inf) are clamped to the finite
 window where the Gaussian factors are nonzero.  binom(k, 2) for negative k
@@ -20,8 +45,8 @@ from itertools import combinations
 from math import comb
 
 from .errors import IdentityViolation, NotDivisible
-from .polyring import IntPoly
-from .qfactor import TupleSpec, d_polynomial, q_binomial
+from .polyring import IntPoly, from_image, to_image
+from .qfactor import TupleSpec, d_polynomial, fill_q_pascal, q_binomial
 
 __all__ = [
     "PositivityReport",
@@ -29,12 +54,15 @@ __all__ = [
     "super_catalan_q_recurrence",
     "von_szily_q",
     "von_szily_classical",
+    "super_catalan_check",
     "b_poly_direct",
     "b_poly_recurrence",
+    "b_poly_check",
     "chu_vandermonde_check",
     "e_main_check",
     "q_binomial_theorem_check",
     "r_poly",
+    "r_unit_shift_check",
     "borwein_sum",
     "positivity_report",
 ]
@@ -93,6 +121,40 @@ def _check_nm(n: int, m: int) -> None:
         raise ValueError("indices must be non-negative")
 
 
+# --- the Kronecker image ---------------------------------------------------
+
+# W -> the q-Pascal memo of Gaussian polynomials at q = 2**W.
+_IMAGES: dict[int, dict[tuple[int, int], int]] = {}
+
+
+def _binomial_image(n: int, m: int, w: int) -> int:
+    """[n over m] at q = 2**w; 0 when m < 0 or m > n."""
+    if m < 0 or m > n:
+        return 0
+    return fill_q_pascal(_IMAGES.setdefault(w, {}), n, m, 1, lambda x, j: x << w * j)
+
+
+def _width(*bounds: int) -> int:
+    """The least multiple of 64 with 2**(W-1) above every bound."""
+    return (max(bounds).bit_length() // 64 + 1) * 64
+
+
+def _max_abs(p: IntPoly) -> int:
+    return max(map(abs, p.coeffs), default=0)
+
+
+def _decode(x: int, w: int) -> IntPoly:
+    """The polynomial with image x at q = 2**w, all |coefficients| below 2**(w-1).
+
+    With the top digit nonzero and every digit below 2**(w-1) in absolute
+    value, a d-digit image has between w*(d-1) and w*d - 1 bits, which gives
+    d.
+    """
+    if not x:
+        return IntPoly.zero()
+    return IntPoly(from_image(x, w, abs(x).bit_length() // w + 1))
+
+
 # --- super Catalan polynomials -------------------------------------------
 
 
@@ -113,26 +175,62 @@ def super_catalan_q_recurrence(n: int, m: int) -> IntPoly:
     k < n shrinks the minimum, and k >= n has gap k - n <= p/2 < p.
     """
     _check_nm(n, m)
-    return _a_recur(min(n, m), max(n, m))
+    lo, hi = min(n, m), max(n, m)
+    w = _width(_a_recur(lo, hi, 0))
+    return _decode(_a_recur(lo, hi, w), w)
 
 
-def _gap_sum(n: int, p: int, k: int) -> IntPoly:
+def _gap_sum(n: int, p: int, k: int, w: int) -> int:
     """sum_{j=k}^{p-k} q^{k(n+k)+j(n+j)} [p-2k over j-k], shared by both recurrences."""
-    total = IntPoly.zero()
-    for j in range(k, p - k + 1):
-        total = total + q_binomial(p - 2 * k, j - k).shifted(k * (n + k) + j * (n + j))
-    return total
+    return sum(
+        _binomial_image(p - 2 * k, j - k, w) << w * (k * (n + k) + j * (n + j))
+        for j in range(k, p - k + 1)
+    )
 
 
 @cache
-def _a_recur(lo: int, hi: int) -> IntPoly:
+def _a_recur(lo: int, hi: int, w: int) -> int:
     if lo == 0 or lo == hi:
-        return q_binomial(2 * hi, hi)
+        return _binomial_image(2 * hi, hi, w)
     n, p = lo, hi - lo
-    total = IntPoly.zero()
-    for k in range(p // 2 + 1):
-        total = total + _a_recur(min(n, k), max(n, k)) * q_binomial(p, 2 * k) * _gap_sum(n, p, k)
+    return sum(
+        _a_recur(min(n, k), max(n, k), w) * _binomial_image(p, 2 * k, w) * _gap_sum(n, p, k, w)
+        for k in range(p // 2 + 1)
+    )
+
+
+def _szily_sum(n: int, m: int, r: int, s: int, w: int) -> int:
+    """sum_k (-1)^k q^{binom(k,2)} [2n over n+k]^r [2m over m+k]^s at q = 2**w."""
+    total = 0
+    for k in range(-min(n, m), min(n, m) + 1):
+        term = _binomial_image(2 * n, n + k, w) ** r * _binomial_image(2 * m, m + k, w) ** s
+        term <<= w * (k * (k - 1) // 2)
+        total += -term if k % 2 else term
     return total
+
+
+def _szily_bound(n: int, m: int, r: int, s: int) -> int:
+    """The terms of `_szily_sum` at q = 1, summed without their signs."""
+    return sum(
+        comb(2 * n, n + k) ** r * comb(2 * m, m + k) ** s
+        for k in range(-min(n, m), min(n, m) + 1)
+    )
+
+
+def _von_szily_image(n: int, m: int, w: int) -> int:
+    """The von Szily sum divided by q^{nm}, at q = 2**w.
+
+    With every coefficient of the sum below 2**(w-1) in absolute value, its
+    image is divisible by 2**(w*nm) exactly when its nm lowest coefficients
+    vanish (the argument of the module docstring, against Q = 0).
+    """
+    total = _szily_sum(n, m, 1, 1, w)
+    shift = w * n * m
+    if shift and (not total or total & ((1 << shift) - 1)):
+        raise IdentityViolation(
+            f"von Szily sum for (n, m) = ({n}, {m}) is not divisible by q^{n * m}"
+        )
+    return total >> shift
 
 
 def von_szily_q(n: int, m: int) -> IntPoly:
@@ -140,25 +238,12 @@ def von_szily_q(n: int, m: int) -> IntPoly:
 
         q^{-nm} * sum_k (-1)^k q^{binom(k,2)} [2n over n+k] [2m over m+k].
 
-    The raw sum must be divisible by q^{nm}; the prefactor is realized as an
-    exponent shift after checking that the nm lowest coefficients vanish.
+    The raw sum must be divisible by q^{nm}: IdentityViolation is raised
+    unless its nm lowest coefficients vanish.
     """
     _check_nm(n, m)
-    total = IntPoly.zero()
-    for k in range(-min(n, m), min(n, m) + 1):
-        term = (q_binomial(2 * n, n + k) * q_binomial(2 * m, m + k)).shifted(
-            k * (k - 1) // 2
-        )
-        total = total + (-term if k % 2 else term)
-    shift = n * m
-    if shift == 0:
-        return total
-    cs = total.coeffs
-    if len(cs) <= shift or any(cs[:shift]):
-        raise IdentityViolation(
-            f"von Szily sum for (n, m) = ({n}, {m}) is not divisible by q^{shift}"
-        )
-    return IntPoly(cs[shift:])
+    w = _width(_szily_bound(n, m, 1, 1))
+    return _decode(_von_szily_image(n, m, w), w)
 
 
 def von_szily_classical(n: int, m: int) -> int:
@@ -167,6 +252,24 @@ def von_szily_classical(n: int, m: int) -> int:
     return sum(
         (-1 if k % 2 else 1) * comb(2 * n, n + k) * comb(2 * m, m + k)
         for k in range(-min(n, m), min(n, m) + 1)
+    )
+
+
+def super_catalan_check(n: int, m: int) -> bool:
+    """A_{n,m}(q) three ways: the factorial ratio equals the recurrence and
+    the von Szily sum, is symmetric in (n, m), and takes the classical
+    alternating sum's value at q = 1.
+
+    Raises IdentityViolation when the von Szily sum is not divisible by q^{nm}.
+    """
+    _check_nm(n, m)
+    direct = super_catalan_q_direct(n, m)
+    lo, hi = min(n, m), max(n, m)
+    w = _width(_max_abs(direct), _a_recur(lo, hi, 0), _szily_bound(n, m, 1, 1))
+    return (
+        to_image(direct.coeffs, w) == _a_recur(lo, hi, w) == _von_szily_image(n, m, w)
+        and direct == super_catalan_q_direct(m, n)
+        and direct.evaluate(1) == von_szily_classical(n, m)
     )
 
 
@@ -194,17 +297,25 @@ def b_poly_recurrence(n: int, m: int) -> IntPoly:
     with B_{n,n} = 1.  Terminates since k <= p/2 < p.
     """
     _check_b_args(n, m)
-    return _b_recur(m, n - m)
+    w = _width(_b_recur(m, n - m, 0))
+    return _decode(_b_recur(m, n - m, w), w)
 
 
 @cache
-def _b_recur(n: int, p: int) -> IntPoly:
+def _b_recur(n: int, p: int, w: int) -> int:
     if p == 0:
-        return IntPoly.one()
-    total = IntPoly.zero()
-    for k in range(p // 2 + 1):
-        total = total + _b_recur(n, k) * q_binomial(2 * n + p, 2 * n + 2 * k) * _gap_sum(n, p, k)
-    return total
+        return 1
+    return sum(
+        _b_recur(n, k, w) * _binomial_image(2 * n + p, 2 * n + 2 * k, w) * _gap_sum(n, p, k, w)
+        for k in range(p // 2 + 1)
+    )
+
+
+def b_poly_check(n: int, m: int) -> bool:
+    """B_{n,m}(q) as the factorial ratio equals the companion recurrence."""
+    direct = b_poly_direct(n, m)
+    w = _width(_max_abs(direct), _b_recur(m, n - m, 0))
+    return to_image(direct.coeffs, w) == _b_recur(m, n - m, w)
 
 
 # --- classical summation identities, checked as polynomial equalities -----
@@ -218,13 +329,13 @@ def chu_vandermonde_check(a: int, b: int, c: int) -> bool:
     """
     if a < 0 or b < 0 or c < 0:
         raise ValueError("indices must be non-negative")
-    lhs = q_binomial(a + b, c)
-    rhs = IntPoly.zero()
-    for k in range(max(0, c - b), min(a, c) + 1):
-        rhs = rhs + (q_binomial(a, k) * q_binomial(b, c - k)).shifted(
-            k * (b - c + k)
-        )
-    return lhs == rhs
+    ks = range(max(0, c - b), min(a, c) + 1)
+    w = _width(comb(a + b, c), sum(comb(a, k) * comb(b, c - k) for k in ks))
+    rhs = sum(
+        (_binomial_image(a, k, w) * _binomial_image(b, c - k, w)) << w * k * (b - c + k)
+        for k in ks
+    )
+    return _binomial_image(a + b, c, w) == rhs
 
 
 def e_main_check(n: int, p: int) -> bool:
@@ -234,50 +345,52 @@ def e_main_check(n: int, p: int) -> bool:
     expansion where [n+p over p-j] is split by a second Chu-Vandermonde.
     """
     _check_nm(n, p)
-    lhs = q_binomial(2 * n + 2 * p, p)
-    single = IntPoly.zero()
-    double = IntPoly.zero()
+    w = _width(
+        comb(2 * n + 2 * p, p),
+        sum(comb(n + p, j) * comb(n + p, p - j) for j in range(p + 1)),
+        sum(
+            comb(n + p, j) * comb(j, k) * comb(n + p - j, p - j - k)
+            for j in range(p + 1)
+            for k in range(min(j, p - j) + 1)
+        ),
+    )
+    single = double = 0
     for j in range(p + 1):
-        outer = q_binomial(n + p, j)
-        single = single + (outer * q_binomial(n + p, p - j)).shifted(j * (n + j))
-        inner = IntPoly.zero()
-        for k in range(min(j, p - j) + 1):
-            inner = inner + (
-                q_binomial(j, k) * q_binomial(n + p - j, p - j - k)
-            ).shifted(k * (n + k))
-        double = double + (outer * inner).shifted(j * (n + j))
-    return lhs == single == double
+        outer = _binomial_image(n + p, j, w)
+        single += (outer * _binomial_image(n + p, p - j, w)) << w * j * (n + j)
+        inner = sum(
+            (_binomial_image(j, k, w) * _binomial_image(n + p - j, p - j - k, w)) << w * k * (n + k)
+            for k in range(min(j, p - j) + 1)
+        )
+        double += (outer * inner) << w * j * (n + j)
+    return _binomial_image(2 * n + 2 * p, p, w) == single == double
 
 
 def q_binomial_theorem_check(n: int) -> bool:
     """prod_{i<n} (1 + t q^i) = sum_m q^{binom(m,2)} [n over m] t^m.
 
-    The product is expanded t-degree by t-degree (each row an IntPoly in q)
+    The product is expanded t-degree by t-degree (each row a polynomial in q)
     and compared against the closed form.  For n <= 12 each row is also
     cross-checked against the subset-sum interpretation
     sum over m-subsets I of {0..n-1} of q^{sum(I)} by direct enumeration.
+    Every row's coefficients are bounded by its value C(n, m) at q = 1.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    rows = [IntPoly.one()]
+    w = _width(comb(n, n // 2))
+    rows = [1]
     for i in range(n):
-        nxt = [IntPoly.zero() for _ in range(len(rows) + 1)]
+        nxt = [0] * (len(rows) + 1)
         for m, row in enumerate(rows):
-            nxt[m] = nxt[m] + row
-            nxt[m + 1] = nxt[m + 1] + row.shifted(i)
+            nxt[m] += row
+            nxt[m + 1] += row << w * i
         rows = nxt
     for m, row in enumerate(rows):
-        if row != q_binomial(n, m).shifted(m * (m - 1) // 2):
+        if row != _binomial_image(n, m, w) << w * (m * (m - 1) // 2):
             return False
     if n <= 12:
         for m in range(n + 1):
-            counts: dict[int, int] = {}
-            for subset in combinations(range(n), m):
-                e = sum(subset)
-                counts[e] = counts.get(e, 0) + 1
-            oracle = IntPoly(
-                [counts.get(e, 0) for e in range(max(counts) + 1)]
-            )
+            oracle = sum(1 << w * sum(subset) for subset in combinations(range(n), m))
             if oracle != rows[m]:
                 return False
     return True
@@ -296,12 +409,8 @@ def r_poly(n: int, m: int, r: int, s: int) -> IntPoly:
     _check_nm(n, m)
     if r < 1 or s < 1:
         raise ValueError("powers r, s must be positive")
-    total = IntPoly.zero()
-    for k in range(-min(n, m), min(n, m) + 1):
-        term = (
-            q_binomial(2 * n, n + k) ** r * q_binomial(2 * m, m + k) ** s
-        ).shifted(k * (k - 1) // 2)
-        total = total + (-term if k % 2 else term)
+    w = _width(_szily_bound(n, m, r, s))
+    total = _decode(_szily_sum(n, m, r, s, w), w)
     try:
         return total.divide_exact(super_catalan_q_direct(n, m))
     except NotDivisible as exc:
@@ -309,6 +418,14 @@ def r_poly(n: int, m: int, r: int, s: int) -> IntPoly:
             f"powered von Szily sum for (n, m, r, s) = ({n}, {m}, {r}, {s}) "
             f"is not a multiple of A_({n},{m})"
         ) from exc
+
+
+def r_unit_shift_check(n: int, m: int) -> bool:
+    """R_{n,m;1,1} = q^{nm}: the unit-power sum equals q^{nm} A_{n,m}(q),
+    with A_{n,m} the factorial ratio."""
+    direct = super_catalan_q_direct(n, m)
+    w = _width(_max_abs(direct), _szily_bound(n, m, 1, 1))
+    return _szily_sum(n, m, 1, 1, w) == to_image(direct.coeffs, w) << w * n * m
 
 
 def borwein_sum(n: int) -> IntPoly:

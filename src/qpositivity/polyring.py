@@ -6,10 +6,11 @@ the zero polynomial is the empty sequence, so ``degree`` is ``len(coeffs) - 1``
 for nonzero polynomials and undefined (``None``) for zero.
 
 Multiplication is schoolbook below a size threshold.  Above it, it is Kronecker
-substitution in offset binary: each coefficient c is stored as c + half in a
-fixed-width unsigned slot, both operands become one Python int each, and one
-big-int product replaces the whole convolution.  Both paths are exact; the
-packed path is checked against schoolbook by the property tests.
+substitution: both operands become one Python int each, their images at
+q = 2**w (`to_image`), and one big-int product replaces the whole
+convolution; `from_image` reads the product's coefficients back.  Both paths
+are exact; the packed path is checked against schoolbook by the property
+tests.
 
 Values are immutable after construction and safe to share between threads.
 """
@@ -224,34 +225,48 @@ def _mul_schoolbook(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
 
 
 def _mul_packed(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
-    """The product of a and b by Kronecker substitution in offset binary.
-
-    Each operand is packed with every coefficient c stored as c + half in a
-    width-byte little-endian slot, minus the all-half pattern, which leaves
-    the value of the polynomial at 2**(8*width).  Adding the all-half pattern
-    to the product puts every product coefficient c back as c + half in its
-    own slot, with no carry between slots.
-    """
+    """The product of a and b by Kronecker substitution: one product of images."""
     # Every product coefficient is a sum of at most min(len(a), len(b))
-    # products, so its magnitude is below 2**(bits - 1) <= half.
+    # products, so its magnitude is below 2**(bits - 1), which `from_image`
+    # needs of every digit.
     bits = (
         max(map(abs, a)).bit_length()
         + max(map(abs, b)).bit_length()
         + min(len(a), len(b)).bit_length()
         + 1
     )
-    width = (bits + 7) // 8
-    half = 1 << (8 * width - 1)
-    halves = bytes(width - 1) + b"\x80"  # half as one little-endian slot
+    w = (bits + 7) // 8 * 8
+    return from_image(to_image(a, w) * to_image(b, w), w, len(a) + len(b) - 1)
 
-    def evaluate(cs: tuple[int, ...]) -> int:
-        packed = b"".join([(c + half).to_bytes(width, "little") for c in cs])
-        return int.from_bytes(packed, "little") - int.from_bytes(halves * len(cs), "little")
 
-    count = len(a) + len(b) - 1
-    biased = evaluate(a) * evaluate(b) + int.from_bytes(halves * count, "little")
-    # The overflow guard: a product that does not fit count slots raises OverflowError.
-    raw = biased.to_bytes(count * width, "little")
+def _offsets(w: int, count: int) -> int:
+    """2**(w-1) in each of count w-bit digits."""
+    return int.from_bytes((bytes(w // 8 - 1) + b"\x80") * count, "little")
+
+
+def to_image(cs: tuple[int, ...], w: int) -> int:
+    """The value at q = 2**w of the coefficients cs (lowest first), in offset binary.
+
+    w is a multiple of 8 and every |c| is below 2**(w-1).  Each c is
+    written as the unsigned little-endian w-bit digit c + 2**(w-1), and the
+    offsets of all digits are subtracted at once.
+    """
+    half = 1 << (w - 1)
+    packed = b"".join([(c + half).to_bytes(w // 8, "little") for c in cs])
+    return int.from_bytes(packed, "little") - _offsets(w, len(cs))
+
+
+def from_image(x: int, w: int, count: int) -> list[int]:
+    """The count signed w-bit digits of x, lowest first: the inverse of to_image.
+
+    Adding the offsets back puts every digit c as c + 2**(w-1) in its own w
+    bits, with no carry between digits, provided every |c| is below
+    2**(w-1).  The overflow guard: an x that does not fit count digits
+    raises OverflowError.
+    """
+    width = w // 8
+    half = 1 << (w - 1)
+    raw = (x + _offsets(w, count)).to_bytes(count * width, "little")
     return [int.from_bytes(raw[i : i + width], "little") - half for i in range(0, len(raw), width)]
 
 

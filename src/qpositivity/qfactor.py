@@ -116,29 +116,35 @@ def q_factorial(n: int) -> IntPoly:
 _QBINOM: dict[tuple[int, int], IntPoly] = {}
 
 
+def fill_q_pascal(memo: dict, n: int, m: int, one, shift):
+    """memo[n, m] of the q-Pascal recurrence, for 0 <= m <= n.
+
+    [i, j] = [i-1, j-1] + shift([i-1, j], j), with [i, 0] = [i, i] = one.
+    On a miss, the missing entries of the parallelogram 0 <= j <= m,
+    0 <= i - j <= n - m that [n, m] depends on are filled row by row and
+    without recursion, so deep triangles cannot overflow the interpreter
+    stack.  `shift(x, j)` multiplies x by q**j in the memo's representation.
+    """
+    if (n, m) not in memo:
+        for i in range(n + 1):
+            for j in range(max(0, i - n + m), min(i, m) + 1):
+                if (i, j) not in memo:
+                    memo[i, j] = memo[i - 1, j - 1] + shift(memo[i - 1, j], j) if 0 < j < i else one
+    return memo[n, m]
+
+
 def q_binomial(n: int, m: int) -> IntPoly:
     """The Gaussian polynomial, by the q-Pascal recurrence.
 
     [n, m] = [n-1, m-1] + q**m * [n-1, m], with [n, 0] = [n, n] = 1.
-    Returns the zero polynomial when m < 0 or m > n.  Memoized on (n, m); a
-    miss fills the missing entries of the parallelogram 0 <= j <= m,
-    0 <= i - j <= n - m that [n, m] depends on, row by row and without
-    recursion, so deep triangles cannot overflow the interpreter stack.
+    Returns the zero polynomial when m < 0 or m > n.  Memoized on (n, m) by
+    `fill_q_pascal`.
     """
     if n < 0:
         raise ValueError("q_binomial upper index must be >= 0")
     if m < 0 or m > n:
         return IntPoly.zero()
-    memo = _QBINOM
-    if (n, m) in memo:
-        return memo[n, m]
-    for i in range(n + 1):
-        for j in range(max(0, i - n + m), min(i, m) + 1):
-            if (i, j) not in memo:
-                memo[i, j] = (
-                    memo[i - 1, j - 1] + memo[i - 1, j].shifted(j) if 0 < j < i else IntPoly.one()
-                )
-    return memo[n, m]
+    return fill_q_pascal(_QBINOM, n, m, IntPoly.one(), IntPoly.shifted)
 
 
 def ratio_exponents(t: TupleSpec) -> CycloExponents:

@@ -21,6 +21,22 @@ def run_raw(capsys, *argv):
     return code, capsys.readouterr().out
 
 
+STALE = {"payload": {"stale": True}}
+
+
+def _edit_cache(records=None, **key):
+    """A corruption that updates the stored key, and each record with `records`."""
+
+    def corrupt(text):
+        blob = json.loads(text)
+        blob.update(key)
+        for rec in blob["records"]:
+            rec.update(records or {})
+        return json.dumps(blob)
+
+    return corrupt
+
+
 class TestLandauCommand:
     def test_holds(self, capsys):
         code, recs = run_cli(capsys, "landau", "--a", "30,1", "--b", "15,10,6")
@@ -388,8 +404,30 @@ class TestDeterminismAndCaching:
             lambda text: "",
             lambda text: "[]",
             lambda text: '{"records": [{"status": "bogus"}]}',
+            lambda text: '{"records": [{"status": "ok"}]}',
+            _edit_cache(records={"command": "sweep"}),
+            _edit_cache(records={"input": None}),
+            _edit_cache(records={"payload": []}),
+            # well-formed records stored under another key
+            _edit_cache(STALE, version="0.0.0-other"),
+            _edit_cache(STALE, schema=0),
+            _edit_cache(STALE, command="sweep"),
+            _edit_cache(STALE, params={"a": [2], "b": [1, 1], "n": 1, "full": False, "raw": False}),
         ],
-        ids=["truncated", "empty", "no-records", "bad-status"],
+        ids=[
+            "truncated",
+            "empty",
+            "no-records",
+            "bad-status",
+            "bare-record",
+            "record-of-another-command",
+            "input-not-a-dict",
+            "payload-not-a-dict",
+            "stored-version-differs",
+            "stored-schema-differs",
+            "stored-command-differs",
+            "stored-params-differ",
+        ],
     )
     def test_corrupt_cache_is_recomputed(self, capsys, tmp_path, corrupt):
         args = ("dpoly", "--a", "6,1,1", "--b", "5,3", "--n", "1", "--no-timing")
@@ -401,6 +439,15 @@ class TestDeterminismAndCaching:
         assert run_raw(capsys, *args, "--out", str(tmp_path)) == fresh
         assert list(tmp_path.iterdir()) == [path]
         assert json.loads(path.read_text())["records"]
+
+    def test_bare_record_is_recomputed_for_csv(self, capsys, tmp_path):
+        args = ("dpoly", "--a", "6,1,1", "--b", "5,3", "--n", "1", "--format", "csv")
+        fresh = run_raw(capsys, *args)
+        assert run_raw(capsys, *args, "--out", str(tmp_path)) == fresh
+        (path,) = tmp_path.iterdir()
+        path.write_text('{"records": [{"status": "ok"}]}')
+        assert run_raw(capsys, *args, "--out", str(tmp_path)) == fresh
+        assert json.loads(path.read_text())["records"][0]["payload"]
 
     @pytest.mark.parametrize(
         "name, value", [("__version__", "0.0.0-other"), ("_CACHE_SCHEMA", 0)]

@@ -1,9 +1,14 @@
+import json
+from math import comb
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qpositivity import cli, identities, qfactor
 from qpositivity.errors import IdentityViolation
 from qpositivity.identities import (
+    b_poly_check,
     b_poly_direct,
     b_poly_recurrence,
     borwein_sum,
@@ -12,12 +17,14 @@ from qpositivity.identities import (
     positivity_report,
     q_binomial_theorem_check,
     r_poly,
+    r_unit_shift_check,
+    super_catalan_check,
     super_catalan_q_direct,
     super_catalan_q_recurrence,
     von_szily_classical,
     von_szily_q,
 )
-from qpositivity.polyring import IntPoly
+from qpositivity.polyring import IntPoly, to_image
 from qpositivity.qfactor import q_binomial
 
 
@@ -202,3 +209,89 @@ def test_von_szily_never_violates(n, m):
         von_szily_q(n, m)
     except IdentityViolation:  # pragma: no cover - would falsify the identity
         pytest.fail(f"unexpected violation at ({n}, {m})")
+
+
+class TestKroneckerImage:
+    def test_image_memo_matches_q_binomial(self, monkeypatch):
+        monkeypatch.setattr(qfactor, "_QBINOM", {})
+        monkeypatch.setattr(identities, "_IMAGES", {})
+        for n in range(65):
+            for m in range(n + 1):
+                image = identities._binomial_image(n, m, 64)
+                assert image == to_image(q_binomial(n, m).coeffs, 64), (n, m)
+
+    @pytest.mark.parametrize("w", [64, 128])
+    def test_round_trip_at_the_coefficient_limit(self, w):
+        top = 2 ** (w - 1) - 1
+        for cs in ([top], [-top], [top, -top, 0, top], [-top, top, -top], [0, 0, -1], [1, -top]):
+            p = IntPoly(cs)
+            assert identities._decode(to_image(p.coeffs, w), w) == p, cs
+        assert identities._decode(0, w) == IntPoly.zero()
+
+    @given(st.lists(st.integers(-(2**63) + 1, 2**63 - 1), max_size=12))
+    def test_round_trip(self, cs):
+        p = IntPoly(cs)
+        assert to_image(p.coeffs, 64) == p.evaluate(2**64)
+        assert identities._decode(to_image(p.coeffs, 64), 64) == p
+
+    def test_width_keeps_bounds_below_half_a_digit(self):
+        assert identities._width(0) == identities._width(2**63 - 1) == 64
+        assert identities._width(2**63) == 128
+        # the largest bound `identities --max-n 16` meets
+        assert identities._szily_bound(16, 16, 1, 1) == comb(64, 32)
+        assert identities._width(comb(64, 32)) == 64
+
+    def test_one_bit_below_the_width_images_collide(self):
+        # P - Q = 2**63 - q: coefficients within the bound 2**62, distinct,
+        # yet equal at q = 2**63
+        p, q = IntPoly([2**62]), IntPoly([-(2**62), 1])
+        w = identities._width(2**62)
+        assert w == 64
+        assert p.evaluate(2 ** (w - 1)) == q.evaluate(2 ** (w - 1))
+        assert to_image(p.coeffs, w) != to_image(q.coeffs, w)
+        assert to_image(p.coeffs, w) == p.evaluate(2**w)
+
+    def test_undivisible_von_szily_sum_is_a_violation(self, monkeypatch):
+        szily_sum = identities._szily_sum
+        monkeypatch.setattr(identities, "_szily_sum", lambda *args: szily_sum(*args) + 1)
+        with pytest.raises(IdentityViolation):
+            von_szily_q(2, 1)
+        assert von_szily_q(0, 3) == q_binomial(6, 3) + 1  # q^0 divides anything
+
+
+@pytest.fixture
+def broken_image(monkeypatch):
+    """The W = 64 image memo with [2 over 1] = 2 + q instead of 1 + q."""
+    memo = {}
+    monkeypatch.setattr(identities, "_IMAGES", {64: memo})
+    identities._a_recur.cache_clear()
+    identities._b_recur.cache_clear()
+    for n in range(17):
+        identities._binomial_image(n, n // 2, 64)
+    memo[2, 1] += 1
+    yield
+    identities._a_recur.cache_clear()
+    identities._b_recur.cache_clear()
+
+
+class TestChecksCanFail:
+    def test_checks_see_a_wrong_gaussian(self, broken_image):
+        assert not chu_vandermonde_check(1, 1, 1)
+        assert not e_main_check(0, 1)
+        assert not q_binomial_theorem_check(2)
+        assert not super_catalan_check(0, 1)
+        assert not b_poly_check(2, 0)
+        assert not r_unit_shift_check(1, 1)
+
+    def test_cli_reports_the_failing_cases(self, broken_image, capsys):
+        code = cli.main(["identities", "--max-n", "4", "--no-timing"])
+        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert code == 3
+        failures = {rec["payload"]["identity"]: rec["payload"]["failures"] for rec in records}
+        assert {"a": 1, "b": 1, "c": 1} in failures["chu-vandermonde"]
+        assert {"n": 0, "p": 1} in failures["double-chu-vandermonde"]
+        assert {"n": 2} in failures["q-binomial-theorem"]
+        assert {"n": 0, "m": 1} in failures["super-catalan-three-way"]
+        assert {"n": 2, "m": 0} in failures["b-recurrence"]
+        assert {"n": 1, "m": 1} in failures["r-unit-shift"]
+        assert all(rec["status"] == "identity-violation" for rec in records)
