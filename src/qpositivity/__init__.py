@@ -23,7 +23,6 @@ from .identities import (
     positivity_report,
     q_binomial_theorem_check,
     r_poly,
-    r_unit_shift_check,
     super_catalan_check,
     super_catalan_q_direct,
     super_catalan_q_recurrence,
@@ -87,7 +86,6 @@ __all__ = [
     "q_factorial",
     "q_integer",
     "r_poly",
-    "r_unit_shift_check",
     "ratio_exponents",
     "super_catalan_check",
     "super_catalan_q_direct",

@@ -51,7 +51,6 @@ from .identities import (
     positivity_report,
     q_binomial_theorem_check,
     r_poly,
-    r_unit_shift_check,
     super_catalan_check,
 )
 from .landau import canonicalize, enumerate_tuples, landau_check
@@ -354,7 +353,8 @@ def _cmd_identities(args) -> list[dict]:
          chu_vandermonde_check),
         ("double-chu-vandermonde", ("n", "p"), itertools.product(span, span), e_main_check),
         ("q-binomial-theorem", ("n",), itertools.product(span), q_binomial_theorem_check),
-        ("r-unit-shift", ("n", "m"), itertools.product(span, span), r_unit_shift_check),
+        ("r-unit-shift", ("n", "m"), itertools.product(span, span),
+         lambda n, m: r_poly(n, m, 1, 1) == IntPoly.monomial(n * m)),
     ]
     records = []
     for name, keys, cases, check in table:

@@ -5,7 +5,8 @@ routes (direct factorial ratio vs. recurrence vs. alternating sum) are what
 the test suite and the `identities` CLI command verify.  A mismatch means an
 implementation bug, never numerical noise.
 
-The sums and recurrences are computed in the Kronecker image: a polynomial
+The sums and recurrences are computed in the Kronecker image (all but
+`r_poly`, which stays over IntPoly as a second route): a polynomial
 P stands for the one integer P(2**W), so products are int products,
 multiplying by q**k is a shift by W*k bits and sums are int sums.  P -> P(2**W)
 is a ring map, so each computed image is the image of the polynomial the
@@ -62,7 +63,6 @@ __all__ = [
     "e_main_check",
     "q_binomial_theorem_check",
     "r_poly",
-    "r_unit_shift_check",
     "borwein_sum",
     "positivity_report",
 ]
@@ -158,8 +158,12 @@ def _decode(x: int, w: int) -> IntPoly:
 # --- super Catalan polynomials -------------------------------------------
 
 
+@cache
 def super_catalan_q_direct(n: int, m: int) -> IntPoly:
-    """A_{n,m}(q) = [2n]![2m]! / ([n]![n+m]![m]!) as a factorial ratio."""
+    """A_{n,m}(q) = [2n]![2m]! / ([n]![n+m]![m]!) as a factorial ratio.
+
+    Cached: the super-Catalan check and `r_poly` both need it.
+    """
     _check_nm(n, m)
     return d_polynomial(_ratio_spec((2 * n, 2 * m), (n, n + m, m)))
 
@@ -199,13 +203,17 @@ def _a_recur(lo: int, hi: int, w: int) -> int:
     )
 
 
-def _szily_sum(n: int, m: int, r: int, s: int, w: int) -> int:
-    """sum_k (-1)^k q^{binom(k,2)} [2n over n+k]^r [2m over m+k]^s at q = 2**w."""
+def _szily_sum(n: int, m: int, r: int, s: int, binom, shift):
+    """sum_k (-1)^k q^{binom(k,2)} [2n over n+k]^r [2m over m+k]^s.
+
+    binom(a, b) is the Gaussian polynomial and shift(x, e) multiplies x by
+    q**e, both in one representation: the image at q = 2**W for von Szily,
+    IntPoly for `r_poly`.
+    """
     total = 0
     for k in range(-min(n, m), min(n, m) + 1):
-        term = _binomial_image(2 * n, n + k, w) ** r * _binomial_image(2 * m, m + k, w) ** s
-        term <<= w * (k * (k - 1) // 2)
-        total += -term if k % 2 else term
+        term = shift(binom(2 * n, n + k) ** r * binom(2 * m, m + k) ** s, k * (k - 1) // 2)
+        total = total - term if k % 2 else total + term
     return total
 
 
@@ -224,7 +232,9 @@ def _von_szily_image(n: int, m: int, w: int) -> int:
     image is divisible by 2**(w*nm) exactly when its nm lowest coefficients
     vanish (the argument of the module docstring, against Q = 0).
     """
-    total = _szily_sum(n, m, 1, 1, w)
+    total = _szily_sum(
+        n, m, 1, 1, lambda a, b: _binomial_image(a, b, w), lambda x, e: x << w * e
+    )
     shift = w * n * m
     if shift and (not total or total & ((1 << shift) - 1)):
         raise IdentityViolation(
@@ -405,12 +415,15 @@ def r_poly(n: int, m: int, r: int, s: int) -> IntPoly:
         sum_k (-1)^k q^{binom(k,2)} [2n over n+k]^r [2m over m+k]^s,
 
     exactly divided by A_{n,m}(q).  R_{n,m;1,1} = q^{nm}.
+
+    The sum is taken over IntPoly, not in the image: at r = s = 1 it is the
+    von Szily sum, so this is a second route to it, separate from the
+    image route of `super_catalan_check`.
     """
     _check_nm(n, m)
     if r < 1 or s < 1:
         raise ValueError("powers r, s must be positive")
-    w = _width(_szily_bound(n, m, r, s))
-    total = _decode(_szily_sum(n, m, r, s, w), w)
+    total = _szily_sum(n, m, r, s, q_binomial, IntPoly.shifted)
     try:
         return total.divide_exact(super_catalan_q_direct(n, m))
     except NotDivisible as exc:
@@ -418,14 +431,6 @@ def r_poly(n: int, m: int, r: int, s: int) -> IntPoly:
             f"powered von Szily sum for (n, m, r, s) = ({n}, {m}, {r}, {s}) "
             f"is not a multiple of A_({n},{m})"
         ) from exc
-
-
-def r_unit_shift_check(n: int, m: int) -> bool:
-    """R_{n,m;1,1} = q^{nm}: the unit-power sum equals q^{nm} A_{n,m}(q),
-    with A_{n,m} the factorial ratio."""
-    direct = super_catalan_q_direct(n, m)
-    w = _width(_max_abs(direct), _szily_bound(n, m, 1, 1))
-    return _szily_sum(n, m, 1, 1, w) == to_image(direct.coeffs, w) << w * n * m
 
 
 def borwein_sum(n: int) -> IntPoly:

@@ -131,7 +131,7 @@ class IntPoly:
         base = self
         while n:
             if n & 1:
-                result = result * base
+                result = base if result is _ONE else result * base
             base = base * base if n > 1 else base
             n >>= 1
         return result

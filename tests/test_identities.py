@@ -17,7 +17,6 @@ from qpositivity.identities import (
     positivity_report,
     q_binomial_theorem_check,
     r_poly,
-    r_unit_shift_check,
     super_catalan_check,
     super_catalan_q_direct,
     super_catalan_q_recurrence,
@@ -281,7 +280,6 @@ class TestChecksCanFail:
         assert not q_binomial_theorem_check(2)
         assert not super_catalan_check(0, 1)
         assert not b_poly_check(2, 0)
-        assert not r_unit_shift_check(1, 1)
 
     def test_cli_reports_the_failing_cases(self, broken_image, capsys):
         code = cli.main(["identities", "--max-n", "4", "--no-timing"])
@@ -293,5 +291,21 @@ class TestChecksCanFail:
         assert {"n": 2} in failures["q-binomial-theorem"]
         assert {"n": 0, "m": 1} in failures["super-catalan-three-way"]
         assert {"n": 2, "m": 0} in failures["b-recurrence"]
-        assert {"n": 1, "m": 1} in failures["r-unit-shift"]
-        assert all(rec["status"] == "identity-violation" for rec in records)
+        # the R row sums over IntPoly, so a wrong image cannot reach it
+        assert failures.pop("r-unit-shift") == []
+        assert all(failures.values())
+
+    def test_r_route_sees_a_wrong_gaussian(self, monkeypatch, capsys):
+        memo = {}
+        monkeypatch.setattr(qfactor, "_QBINOM", memo)
+        for n in range(9):
+            q_binomial(2 * n, n)
+        memo[2, 1] = IntPoly([2, 1])
+        with pytest.raises(IdentityViolation):
+            r_poly(1, 1, 1, 1)
+        code = cli.main(["identities", "--max-n", "4", "--no-timing"])
+        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert code == 3
+        failures = {rec["payload"]["identity"]: rec["payload"]["failures"] for rec in records}
+        assert {"n": 1, "m": 1} in failures.pop("r-unit-shift")
+        assert not any(failures.values())

@@ -72,6 +72,8 @@ class TestArithmetic:
     def test_pow(self):
         assert poly(1, 1) ** 3 == poly(1, 3, 3, 1)
         assert poly(2, 1) ** 0 == IntPoly.one()
+        assert poly(2, 1) ** 1 == poly(2, 1)
+        assert IntPoly.one() ** 5 == IntPoly.one()
 
     def test_divide_geometric_series(self):
         top = IntPoly([-1, 0, 0, 0, 1])  # q^4 - 1
