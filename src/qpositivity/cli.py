@@ -38,7 +38,6 @@ import os
 import sys
 import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from . import __version__
@@ -255,6 +254,9 @@ def _map(fn, tasks: list, jobs: int) -> list:
     workers = min(jobs, len(tasks))
     if workers <= 1:
         return [fn(task) for task in tasks]
+    # Imported here, so that a one-job run never loads multiprocessing.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, tasks))
 

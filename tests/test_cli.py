@@ -116,10 +116,23 @@ class TestSweepCommand:
         def no_pool(*args, **kwargs):
             raise AssertionError("one task needs no worker pool")
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+        # _map imports the pool class when it needs one, so patch its home
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
         code, recs = run_cli(capsys, "sweep", "--a", "2", "--b", "1,1", "--n-max", "1", "--jobs", "4")
         assert code == 0
         assert [rec["payload"]["n"] for rec in recs] == [1]
+
+    def test_importing_the_cli_loads_no_worker_pool(self):
+        code = (
+            "import sys, qpositivity.cli; "
+            "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing')"
+            " if m in sys.modules))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
     def test_jobs_flag_gives_identical_records(self, capsys):
         args = ("sweep", "--a", "3", "--b", "2,1", "--n-max", "6", "--no-timing")

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import gcd
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from qpositivity.errors import Degenerate, NotPolynomial
 from qpositivity.landau import (
     LandauVerdict,
+    _holds,
     canonicalize,
     enumerate_tuples,
     floor_sum,
@@ -143,6 +145,23 @@ def test_verdict_matches_scaled_cyclotomic_exponents(t, n):
         assert ratio_exponents(t.scaled(n)).smallest_negative() is None
 
 
+@given(tuple_specs)
+def test_decide_only_scan_matches_verdict(t):
+    assert _holds(t.a, t.b) == landau_check(t).holds
+
+
+class TestDecideOnly:
+    def test_known_failure(self):
+        assert not _holds((1, 1), (2,))
+
+    def test_big_tuple_holds(self):
+        assert _holds((30, 1), (15, 10, 6))
+
+    def test_sum_deficient_pair_fails(self):
+        # f >= 0 on the first period; the deficit shows only beyond it
+        assert not _holds((2,), (1, 1, 1))
+
+
 class TestCanonicalize:
     def test_multiset_cancellation(self):
         c = canonicalize(TupleSpec((2, 3, 2), (3, 1, 2)))
@@ -262,3 +281,72 @@ class TestEnumerate:
                 d_n_sweep(t, 10)
             except NotPolynomial as exc:  # pragma: no cover - would be a bug
                 pytest.fail(f"enumerated tuple {t} failed to sweep: {exc}")
+
+
+def _desc(*entries):
+    return tuple(sorted(entries, reverse=True))
+
+
+def bober_family(t: TupleSpec) -> str:
+    """The family of a balanced canonical pair, by arithmetic on its entries alone.
+
+    binomial: (x+y)/(x, y); A: (2x, 2y)/(x, y, x+y); B: (2x, y)/(x, 2y, x-y)
+    with x > y; anything else is sporadic.
+    """
+    a, b = t.a, t.b
+    if len(a) == 1 and len(b) == 2 and a[0] == sum(b):
+        return "binomial"
+    if len(a) == 2 and len(b) == 3:
+        if a[0] % 2 == 0 and a[1] % 2 == 0:
+            x, y = a[0] // 2, a[1] // 2
+            if b == _desc(x, y, x + y):
+                return "A"
+        for two_x, y in ((a[0], a[1]), (a[1], a[0])):
+            x = two_x // 2
+            if two_x % 2 == 0 and x > y and b == _desc(x, 2 * y, x - y):
+                return "B"
+    return "sporadic"
+
+
+def _coprime_pairs(largest):
+    return [(x, y) for x in range(1, largest + 1) for y in range(1, x + 1) if gcd(x, y) == 1]
+
+
+class TestBoberCensus:
+    """An oracle from outside the code: Bober's classification of integral
+    factorial ratios (J. Bober, "Factorial ratios, hypergeometric series, and a
+    family of step functions", J. London Math. Soc. 79, 2009), building on
+    Beukers and Heckman (Invent. Math. 95, 1989).  A balanced ratio with
+    r + s = 3 is a binomial coefficient; one with (r, s) = (2, 3) lies in the
+    two-parameter family A or B or is one of finitely many sporadic ratios.
+
+    The families are generated here from their parameters (coprime x >= y for
+    the binomial family; coprime x > y with x != 2y for A and B, which keeps
+    the two sides disjoint) and must appear in the enumeration; what is left
+    over is the sporadic part.  Only the (2, 3) sporadic count is asserted: the
+    (3, 4) sporadic count found so far does not yet add up to Bober's total.
+    """
+
+    def test_one_by_two_is_the_binomial_family(self):
+        got = enumerate_tuples(1, 2, 30, balanced_only=True)
+        assert {bober_family(t) for t in got} == {"binomial"}
+        family = {TupleSpec((x + y,), (x, y)) for x, y in _coprime_pairs(29) if x + y <= 30}
+        assert set(got) == family
+
+    def test_two_by_three_census(self):
+        got = set(enumerate_tuples(2, 3, 40, balanced_only=True))
+        census = Counter(bober_family(t) for t in got)
+        assert census == {"A": 62, "B": 78, "sporadic": 29}
+        pairs = [(x, y) for x, y in _coprime_pairs(40) if x > y and x != 2 * y]
+        family_a = {TupleSpec((2 * x, 2 * y), _desc(x, y, x + y)) for x, y in pairs}
+        family_b = {TupleSpec((2 * x, y), _desc(x, 2 * y, x - y)) for x, y in pairs}
+        assert {t for t in got if bober_family(t) == "A"} == {
+            t for t in family_a if t.sum_a <= 40
+        }
+        # (6, 2)/(4, 3, 1) is A at (3, 1) and B at (3, 2); it counts as A
+        assert family_a & family_b == {TupleSpec((6, 2), (4, 3, 1))}
+        assert {t for t in got if bober_family(t) == "B"} == {
+            t for t in family_b - family_a if t.sum_a <= 40
+        }
+        sporadic = [t for t in got if bober_family(t) == "sporadic"]
+        assert max(sporadic, key=lambda t: t.sum_a) == TupleSpec((30, 1), (15, 10, 6))
