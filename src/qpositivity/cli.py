@@ -21,8 +21,9 @@ by another version is not replayed.  The file is written atomically; one that
 cannot be read back, whose stored key differs, or whose records lack the shape
 above is recomputed and overwritten.
 
-dpoly, sweep and enumerate --sweep-n refuse, as a usage error, any D_n whose
-degree sum(C(n*a_i, 2)) - sum(C(n*b_j, 2)) exceeds MAX_DEGREE; borwein refuses
+dpoly, sweep and enumerate --sweep-n refuse, as a usage error and before any
+other work (sweep's Landau verdict included), any D_n whose degree
+sum(C(n*a_i, 2)) - sum(C(n*b_j, 2)) exceeds MAX_DEGREE; borwein refuses
 --n-max above MAX_BORWEIN_N, and rpoly refuses r*n**2 + s*m**2 (a bound on the
 degree of its alternating sum) above MAX_RPOLY_SIZE.
 """
@@ -54,7 +55,7 @@ from .identities import (
 )
 from .landau import canonicalize, enumerate_tuples, landau_check
 from .polyring import IntPoly
-from .qfactor import TupleSpec, classical_ratio, d_polynomial, d_n_sweep
+from .qfactor import TupleSpec, classical_ratio, d_polynomial
 
 MAX_SUM_BOUND = 64
 MAX_DEGREE = 250_000
@@ -261,11 +262,15 @@ def _map(fn, tasks: list, jobs: int) -> list:
         return list(pool.map(fn, tasks))
 
 
+def _d_stats(a, b, n: int, full: bool) -> dict:
+    """The stats row of D_n of a/b; the one builder of both sweep record types."""
+    return dict(n=n, **_poly_stats(d_polynomial(TupleSpec(a, b).scaled(n)), full))
+
+
 def _sweep_record(task: tuple) -> dict:
     echo, a, b, n, full = task
     started = time.perf_counter()
-    poly = d_polynomial(TupleSpec(a, b).scaled(n))
-    payload = dict(n=n, **_poly_stats(poly, full))
+    payload = _d_stats(a, b, n, full)
     status = "ok" if payload["is_positive"] else "negative-found"
     return _record("sweep", dict(echo, n=n), status, payload, started)
 
@@ -274,6 +279,7 @@ def _cmd_sweep(args) -> list[dict]:
     started = time.perf_counter()
     echo = {"a": list(args.a), "b": list(args.b), "n_max": args.n_max, "raw": args.raw}
     spec, info = _resolve_spec(args.a, args.b, args.raw)
+    _check_degree(spec, args.n_max)
     verdict = landau_check(spec)
     if not verdict.holds:
         payload = dict(
@@ -283,7 +289,6 @@ def _cmd_sweep(args) -> list[dict]:
             min_value=verdict.min_value,
         )
         return [_record("sweep", echo, "not-polynomial", payload, started)]
-    _check_degree(spec, args.n_max)
     tasks = [(echo, spec.a, spec.b, n, args.full) for n in range(1, args.n_max + 1)]
     return _map(_sweep_record, tasks, args.jobs)
 
@@ -291,15 +296,8 @@ def _cmd_sweep(args) -> list[dict]:
 def _tuple_sweep_record(task: tuple) -> dict:
     echo, a, b, n_max, full = task
     started = time.perf_counter()
-    spec = TupleSpec(a, b)
-    per_n = []
-    negative_ns = []
-    for n, poly in enumerate(d_n_sweep(spec, n_max), start=1):
-        stats = _poly_stats(poly, full)
-        stats["n"] = n
-        per_n.append(stats)
-        if not stats["is_positive"]:
-            negative_ns.append(n)
+    per_n = [_d_stats(a, b, n, full) for n in range(1, n_max + 1)]
+    negative_ns = [row["n"] for row in per_n if not row["is_positive"]]
     payload = {
         "a": list(a),
         "b": list(b),

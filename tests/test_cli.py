@@ -169,6 +169,21 @@ class TestEnumerateCommand:
         assert all(rec["payload"]["all_positive"] for rec in recs)
         assert [row["n"] for row in recs[0]["payload"]["per_n"]] == [1, 2, 3]
 
+    @pytest.mark.parametrize("full", [(), ("--full",)], ids=["stats", "full"])
+    def test_per_n_rows_are_sweep_payloads(self, capsys, full):
+        _, recs = run_cli(
+            capsys,
+            "enumerate",
+            "--r", "2", "--s", "3", "--sum-bound", "8", "--balanced",
+            "--sweep-n", "4", "--jobs", "1", *full,
+        )
+        payload = recs[-1]["payload"]
+        a, b = (",".join(map(str, payload[key])) for key in ("a", "b"))
+        _, sweep = run_cli(
+            capsys, "sweep", "--a", a, "--b", b, "--n-max", "4", "--jobs", "1", *full
+        )
+        assert payload["per_n"] == [rec["payload"] for rec in sweep]
+
     def test_sum_bound_cap(self, capsys):
         code = cli.main(
             ["enumerate", "--r", "1", "--s", "2", "--sum-bound", "65", "--balanced"]
@@ -211,8 +226,11 @@ class TestDegreeGuard:
         def no_build(*args, **kwargs):
             raise AssertionError("nothing above the cap may be built")
 
+        def no_scan(*args, **kwargs):
+            raise AssertionError("D must be sized before the Landau scan")
+
         monkeypatch.setattr(cli, "d_polynomial", no_build)
-        monkeypatch.setattr(cli, "d_n_sweep", no_build)
+        monkeypatch.setattr(cli, "landau_check", no_scan)
         assert cli.main(list(argv)) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
