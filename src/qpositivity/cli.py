@@ -23,7 +23,8 @@ above is recomputed and overwritten.
 
 dpoly, sweep and enumerate --sweep-n refuse, as a usage error and before any
 other work (sweep's Landau verdict included), any D_n whose degree
-sum(C(n*a_i, 2)) - sum(C(n*b_j, 2)) exceeds MAX_DEGREE; borwein refuses
+sum(C(n*a_i, 2)) - sum(C(n*b_j, 2)) or whose largest entry exceeds MAX_DEGREE,
+and landau refuses a tuple whose largest entry does; borwein refuses
 --n-max above MAX_BORWEIN_N, and rpoly refuses r*n**2 + s*m**2 (a bound on the
 degree of its alternating sum) above MAX_RPOLY_SIZE.
 """
@@ -178,11 +179,26 @@ def _record(command: str, input_echo: dict, status: str, payload: dict, started:
 
 
 def _check_degree(spec: TupleSpec, n: int) -> None:
-    """Refuse D_n of spec above MAX_DEGREE, before anything is built."""
-    degree = spec.scaled(n).degree
-    if degree > MAX_DEGREE:
+    """Refuse D_n of spec above MAX_DEGREE, before anything is built.
+
+    Both its degree and its largest entry are capped: the Landau scan and
+    `ratio_exponents` take time linear in the largest entry, whatever the
+    degree.
+    """
+    scaled = spec.scaled(n)
+    if scaled.degree > MAX_DEGREE:
         raise _UsageError(
-            f"D_{n} of a={list(spec.a)}, b={list(spec.b)} has degree {degree},"
+            f"D_{n} of a={list(spec.a)}, b={list(spec.b)} has degree {scaled.degree},"
+            f" above the cap of {MAX_DEGREE}"
+        )
+    _check_entry(scaled)
+
+
+def _check_entry(spec: TupleSpec) -> None:
+    """Refuse spec if its largest entry is above MAX_DEGREE."""
+    if spec.max_entry > MAX_DEGREE:
+        raise _UsageError(
+            f"a={list(spec.a)}, b={list(spec.b)} has largest entry {spec.max_entry},"
             f" above the cap of {MAX_DEGREE}"
         )
 
@@ -215,6 +231,7 @@ def _cmd_landau(args) -> list[dict]:
     started = time.perf_counter()
     echo = {"a": list(args.a), "b": list(args.b), "raw": args.raw}
     spec, info = _resolve_spec(args.a, args.b, args.raw)
+    _check_entry(spec)
     verdict = landau_check(spec)
     payload = dict(info)
     payload.update(

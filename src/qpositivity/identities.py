@@ -6,7 +6,8 @@ the test suite and the `identities` CLI command verify.  A mismatch means an
 implementation bug, never numerical noise.
 
 The sums and recurrences are computed in the Kronecker image (all but
-`r_poly`, which stays over IntPoly as a second route): a polynomial
+`r_poly`, which stays over IntPoly as a second route, with Gaussians from
+the factorial ratio `q_binomial`, not the image's q-Pascal fill): a polynomial
 P stands for the one integer P(2**W), so products are int products,
 multiplying by q**k is a shift by W*k bits and sums are int sums.  P -> P(2**W)
 is a ring map, so each computed image is the image of the polynomial the
@@ -47,7 +48,7 @@ from math import comb
 
 from .errors import IdentityViolation, NotDivisible
 from .polyring import IntPoly, from_image, to_image
-from .qfactor import TupleSpec, d_polynomial, fill_q_pascal, q_binomial
+from .qfactor import TupleSpec, d_polynomial, q_binomial
 
 __all__ = [
     "PositivityReport",
@@ -128,10 +129,21 @@ _IMAGES: dict[int, dict[tuple[int, int], int]] = {}
 
 
 def _binomial_image(n: int, m: int, w: int) -> int:
-    """[n over m] at q = 2**w; 0 when m < 0 or m > n."""
+    """[n over m] at q = 2**w; 0 when m < 0 or m > n.
+
+    By the q-Pascal recurrence [i, j] = [i-1, j-1] + q**j [i-1, j], with
+    [i, 0] = [i, i] = 1: a miss fills, row by row and without recursion, the
+    missing entries of the parallelogram 0 <= j <= m, 0 <= i - j <= n - m.
+    """
     if m < 0 or m > n:
         return 0
-    return fill_q_pascal(_IMAGES.setdefault(w, {}), n, m, 1, lambda x, j: x << w * j)
+    memo = _IMAGES.setdefault(w, {})
+    if (n, m) not in memo:
+        for i in range(n + 1):
+            for j in range(max(0, i - n + m), min(i, m) + 1):
+                if (i, j) not in memo:
+                    memo[i, j] = memo[i - 1, j - 1] + (memo[i - 1, j] << w * j) if 0 < j < i else 1
+    return memo[n, m]
 
 
 def _width(*bounds: int) -> int:

@@ -17,6 +17,9 @@ another:
 * ``d_polynomial_naive``— multiply the numerator q-factorials, then exactly
                           divide by each denominator q-factorial in turn.
 
+``q_binomial`` is the factorial ratio (n)/(m, n-m) by ``d_polynomial``; the
+identity checks reach Gaussian polynomials by the q-Pascal recurrence instead.
+
 ``classical_ratio`` is the q=1 shadow, assembled from prime valuations of the
 ordinary factorials, again independently of both polynomial routes.
 """
@@ -24,6 +27,7 @@ ordinary factorials, again independently of both polynomial routes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 from itertools import accumulate
 from operator import sub
@@ -113,38 +117,20 @@ def q_factorial(n: int) -> IntPoly:
     return _QFACT[n]
 
 
-_QBINOM: dict[tuple[int, int], IntPoly] = {}
-
-
-def fill_q_pascal(memo: dict, n: int, m: int, one, shift):
-    """memo[n, m] of the q-Pascal recurrence, for 0 <= m <= n.
-
-    [i, j] = [i-1, j-1] + shift([i-1, j], j), with [i, 0] = [i, i] = one.
-    On a miss, the missing entries of the parallelogram 0 <= j <= m,
-    0 <= i - j <= n - m that [n, m] depends on are filled row by row and
-    without recursion, so deep triangles cannot overflow the interpreter
-    stack.  `shift(x, j)` multiplies x by q**j in the memo's representation.
-    """
-    if (n, m) not in memo:
-        for i in range(n + 1):
-            for j in range(max(0, i - n + m), min(i, m) + 1):
-                if (i, j) not in memo:
-                    memo[i, j] = memo[i - 1, j - 1] + shift(memo[i - 1, j], j) if 0 < j < i else one
-    return memo[n, m]
-
-
+@cache
 def q_binomial(n: int, m: int) -> IntPoly:
-    """The Gaussian polynomial, by the q-Pascal recurrence.
+    """The Gaussian polynomial [n]! / ([m]! [n-m]!), built by `d_polynomial`.
 
-    [n, m] = [n-1, m-1] + q**m * [n-1, m], with [n, 0] = [n, n] = 1.
-    Returns the zero polynomial when m < 0 or m > n.  Memoized on (n, m) by
-    `fill_q_pascal`.
+    The zero polynomial when m < 0 or m > n.  Cached: `r_poly` asks for the
+    same entries again and again.
     """
     if n < 0:
         raise ValueError("q_binomial upper index must be >= 0")
     if m < 0 or m > n:
         return IntPoly.zero()
-    return fill_q_pascal(_QBINOM, n, m, IntPoly.one(), IntPoly.shifted)
+    if m in (0, n):
+        return IntPoly.one()
+    return d_polynomial(TupleSpec((n,), (m, n - m)))
 
 
 def ratio_exponents(t: TupleSpec) -> CycloExponents:

@@ -219,8 +219,9 @@ class TestDegreeGuard:
             ("sweep", "--a", "30,1", "--b", "15,10,6", "--n-max", "31"),
             ("enumerate", "--r", "2", "--s", "3", "--sum-bound", "31", "--balanced",
              "--sweep-n", "31"),
+            ("sweep", "--a", "10000000", "--b", "9999999,4472", "--n-max", "1"),
         ],
-        ids=["sweep", "enumerate"],
+        ids=["sweep", "enumerate", "sweep-entry"],
     )
     def test_refused_before_building(self, capsys, monkeypatch, argv):
         def no_build(*args, **kwargs):
@@ -241,6 +242,39 @@ class TestDegreeGuard:
         cli._check_degree(TupleSpec((2,), (1, 1)), 500)
         with pytest.raises(cli._UsageError):
             cli._check_degree(TupleSpec((2,), (1, 1)), 501)
+
+    @pytest.mark.parametrize(
+        "argv, entry",
+        [
+            (("dpoly", "--a", "100000000", "--b", "99999999,14142", "--n", "1"), 100000000),
+            (("dpoly", "--raw", "--a", "10000000,2", "--b", "10000000,1,1", "--n", "1"),
+             10000000),
+            (("landau", "--a", "1,1", "--b", "10000000"), 10000000),
+        ],
+        ids=["dpoly", "dpoly-degree-1", "landau"],
+    )
+    def test_large_entry_refused_quickly(self, argv, entry):
+        # the degree is within the cap, but the scans over the entries
+        # would run for seconds to minutes
+        proc = subprocess.run(
+            [sys.executable, "-m", "qpositivity", *argv],
+            capture_output=True,
+            text=True,
+            timeout=20,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert f"largest entry {entry}, above the cap of {cli.MAX_DEGREE}" in proc.stderr
+
+    def test_entry_cap_is_inclusive(self, capsys):
+        top, over = TupleSpec((250000,), (249999, 706)), TupleSpec((250001,), (250000, 707))
+        assert over.degree == 429
+        cli._check_degree(top, 1)
+        with pytest.raises(cli._UsageError):
+            cli._check_degree(over, 1)
+        assert cli.main(["landau", "--a", "250000", "--b", "249999,706"]) == 0
+        assert cli.main(["landau", "--a", "250001", "--b", "250000,707"]) == 1
+        capsys.readouterr()
 
 
 class TestIdentitiesCommand:
@@ -335,6 +369,25 @@ class TestBorweinAndRpoly:
         assert code == 0
         assert [rec["payload"]["n"] for rec in recs] == list(range(6))
         assert all(rec["payload"]["is_positive"] for rec in recs)
+
+    def test_borwein_at_the_cap_stays_small(self):
+        # A launcher of its own reaps the child: Linux counts the address
+        # space a child was spawned from in its ru_maxrss, and the test
+        # process may be large.
+        launcher = (
+            "import os, subprocess, sys\n"
+            "argv = [sys.executable, '-m', 'qpositivity', 'borwein', '--n-max', '40']\n"
+            "proc = subprocess.Popen(argv, stdout=subprocess.DEVNULL)\n"
+            "_, status, usage = os.wait4(proc.pid, 0)\n"
+            "proc.returncode = os.waitstatus_to_exitcode(status)\n"
+            "print(proc.returncode, usage.ru_maxrss)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", launcher], capture_output=True, text=True, timeout=60
+        )
+        code, maxrss_kib = map(int, proc.stdout.split())
+        assert code == 0
+        assert maxrss_kib < 48 * 1024
 
     def test_rpoly_unit(self, capsys):
         code, recs = run_cli(capsys, "rpoly", "--n", "1", "--m", "1", "--r", "1", "--s", "1")

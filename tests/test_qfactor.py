@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qpositivity import qfactor
+from qpositivity import identities
 from qpositivity.errors import NotPolynomial
-from qpositivity.polyring import IntPoly, cyclotomic
+from qpositivity.polyring import IntPoly, cyclotomic, to_image
 from qpositivity.qfactor import (
     TupleSpec,
     classical_ratio,
@@ -123,17 +123,20 @@ class TestQBinomial:
                 assert q_binomial(n, m) == d_polynomial(t), (n, m)
 
     def test_deep_triangle_does_not_recurse(self, monkeypatch):
-        monkeypatch.setattr(qfactor, "_QBINOM", {})
+        monkeypatch.setattr(identities, "_IMAGES", {})
         n = sys.getrecursionlimit() + 200
-        assert q_binomial(n, 1) == q_binomial(n, n - 1) == q_integer(n)
+        image = to_image(q_integer(n).coeffs, 64)
+        assert identities._binomial_image(n, 1, 64) == image
+        assert identities._binomial_image(n, n - 1, 64) == image
 
     @pytest.mark.parametrize("seed", range(5))
     def test_fill_is_independent_of_request_order(self, monkeypatch, seed):
-        monkeypatch.setattr(qfactor, "_QBINOM", {})
+        monkeypatch.setattr(identities, "_IMAGES", {})
         pairs = [(n, m) for n in range(2, 22) for m in range(1, n)]
         random.Random(seed).shuffle(pairs)
         for n, m in pairs:
-            assert q_binomial(n, m) == d_polynomial(TupleSpec((n,), (m, n - m))), (n, m)
+            image = to_image(d_polynomial(TupleSpec((n,), (m, n - m))).coeffs, 64)
+            assert identities._binomial_image(n, m, 64) == image, (n, m)
 
 
 class TestRatioExponents:
