@@ -37,6 +37,12 @@ Alternating sums written over k in (-inf, inf) are clamped to the finite
 window where the Gaussian factors are nonzero.  binom(k, 2) for negative k
 is k*(k-1)/2, so binom(-1, 2) = 1; Python's ** on -1 with a negative
 exponent returns a float, which is why signs are taken from k's parity.
+
+The von Szily and Borwein sums are folded: their k and -k terms carry the
+same Gaussian product (as [N over M] = [N over N-M]) and the same sign, and
+binom(-k, 2) = binom(k, 2) + k, so each pair is one product p times
+q^{binom(k,2)} (1 + q^k), an identity of polynomials.  The q = 1 oracle
+`von_szily_classical` and the width bound `_szily_bound` still read every k.
 """
 
 from __future__ import annotations
@@ -221,11 +227,17 @@ def _szily_sum(n: int, m: int, r: int, s: int, binom, shift):
     binom(a, b) is the Gaussian polynomial and shift(x, e) multiplies x by
     q**e, both in one representation: the image at q = 2**W for von Szily,
     IntPoly for `r_poly`.
+
+    The k and -k terms are summed as one: [N over M] = [N over N-M] gives
+    them the same product p of Gaussians, (-1)^(-k) = (-1)^k the same sign,
+    and binom(-k, 2) = binom(k, 2) + k, so together they are
+    (-1)^k q^{binom(k,2)} (p + q^k p), exactly.  Each |k| costs one product.
     """
-    total = 0
-    for k in range(-min(n, m), min(n, m) + 1):
-        term = shift(binom(2 * n, n + k) ** r * binom(2 * m, m + k) ** s, k * (k - 1) // 2)
-        total = total - term if k % 2 else total + term
+    total = binom(2 * n, n) ** r * binom(2 * m, m) ** s
+    for k in range(1, min(n, m) + 1):
+        p = binom(2 * n, n + k) ** r * binom(2 * m, m + k) ** s
+        pair = shift(p + shift(p, k), k * (k - 1) // 2)
+        total = total - pair if k % 2 else total + pair
     return total
 
 
@@ -446,11 +458,17 @@ def r_poly(n: int, m: int, r: int, s: int) -> IntPoly:
 
 
 def borwein_sum(n: int) -> IntPoly:
-    """sum_k (-1)^k q^{binom(k,2) + 4k^2} [2n over n+3k], k in [-n/3, n/3]."""
+    """sum_k (-1)^k q^{binom(k,2) + 4k^2} [2n over n+3k], k in [-n/3, n/3].
+
+    Folded as `_szily_sum` is: the k and -k terms share the Gaussian
+    [2n over n+3k] = [2n over n-3k] and the sign, and their shifts are
+    binom(k,2) + 4k^2 and binom(k,2) + k + 4k^2.
+    """
     if n < 0:
         raise ValueError("n must be non-negative")
-    total = IntPoly.zero()
-    for k in range(-(n // 3), n // 3 + 1):
-        term = q_binomial(2 * n, n + 3 * k).shifted(k * (k - 1) // 2 + 4 * k * k)
-        total = total + (-term if k % 2 else term)
+    total = q_binomial(2 * n, n)
+    for k in range(1, n // 3 + 1):
+        p = q_binomial(2 * n, n + 3 * k)
+        pair = (p + p.shifted(k)).shifted(k * (k - 1) // 2 + 4 * k * k)
+        total = total - pair if k % 2 else total + pair
     return total

@@ -18,6 +18,7 @@ Values are immutable after construction and safe to share between threads.
 from __future__ import annotations
 
 import functools
+from operator import add, neg
 from typing import Iterable, Iterator
 
 from .errors import NotDivisible
@@ -92,15 +93,12 @@ class IntPoly:
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPoly(out)
+        return IntPoly([*map(add, a, b), *a[len(b) :]])
 
     __radd__ = __add__
 
     def __neg__(self) -> IntPoly:
-        return IntPoly([-c for c in self.coeffs])
+        return IntPoly(map(neg, self.coeffs))
 
     def __sub__(self, other: IntPoly | int) -> IntPoly:
         if isinstance(other, int):

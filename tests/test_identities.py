@@ -27,6 +27,28 @@ from qpositivity.polyring import IntPoly, to_image
 from qpositivity.qfactor import q_binomial
 
 
+def reference_szily_sum(n, m, r, s, binom, shift):
+    """The von Szily sum term by term, k over [-min(n, m), min(n, m)].
+
+    Kept as an oracle for `identities._szily_sum`, which sums the k and -k
+    terms as one.
+    """
+    total = 0
+    for k in range(-min(n, m), min(n, m) + 1):
+        term = shift(binom(2 * n, n + k) ** r * binom(2 * m, m + k) ** s, k * (k - 1) // 2)
+        total = total - term if k % 2 else total + term
+    return total
+
+
+def reference_borwein(n):
+    """The Borwein sum term by term, k over [-n/3, n/3]: the oracle for `borwein_sum`."""
+    total = IntPoly.zero()
+    for k in range(-(n // 3), n // 3 + 1):
+        term = q_binomial(2 * n, n + 3 * k).shifted(k * (k - 1) // 2 + 4 * k * k)
+        total = total + (-term if k % 2 else term)
+    return total
+
+
 class TestSuperCatalanDirect:
     def test_small_values(self):
         assert super_catalan_q_direct(1, 1) == IntPoly([1, 1])
@@ -161,6 +183,25 @@ class TestBorwein:
             assert positivity_report(borwein_sum(n)).is_positive, n
 
 
+class TestFoldedSums:
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_szily_sum_matches_the_term_by_term_sum(self, r, s, monkeypatch):
+        monkeypatch.setattr(identities, "_IMAGES", {})
+        for n in range(10):
+            for m in range(10):
+                args = (n, m, r, s, q_binomial, IntPoly.shifted)
+                assert identities._szily_sum(*args) == reference_szily_sum(*args), (n, m)
+                w = identities._width(identities._szily_bound(n, m, r, s))
+                image = (lambda a, b: identities._binomial_image(a, b, w), lambda x, e: x << w * e)
+                args = (n, m, r, s, *image)
+                assert identities._szily_sum(*args) == reference_szily_sum(*args), (n, m, w)
+
+    def test_borwein_matches_the_term_by_term_sum(self):
+        for n in range(31):
+            assert borwein_sum(n) == reference_borwein(n), n
+
+
 class TestPositivityReport:
     def test_gap_is_positive_but_not_unimodal(self):
         rep = positivity_report(IntPoly([1, 0, 1]))
@@ -258,15 +299,17 @@ class TestKroneckerImage:
 
 
 @pytest.fixture
-def broken_image(monkeypatch):
-    """The W = 64 image memo with [2 over 1] = 2 + q instead of 1 + q."""
+def broken_image(monkeypatch, request):
+    """The W = 64 image memo with one Gaussian off by 1: [2 over 1] = 2 + q
+    instead of 1 + q, or the entry given as the fixture's parameter."""
+    entry = getattr(request, "param", (2, 1))
     memo = {}
     monkeypatch.setattr(identities, "_IMAGES", {64: memo})
     identities._a_recur.cache_clear()
     identities._b_recur.cache_clear()
     for n in range(17):
         identities._binomial_image(n, n // 2, 64)
-    memo[2, 1] += 1
+    memo[entry] += 1
     yield
     identities._a_recur.cache_clear()
     identities._b_recur.cache_clear()
@@ -293,6 +336,17 @@ class TestChecksCanFail:
         # the R row sums over IntPoly, so a wrong image cannot reach it
         assert failures.pop("r-unit-shift") == []
         assert all(failures.values())
+
+    @pytest.mark.parametrize("broken_image", [(4, 1)], ids=["4-over-1"], indirect=True)
+    def test_cli_sees_a_wrong_lower_half_gaussian(self, broken_image, capsys):
+        code = cli.main(["identities", "--max-n", "4", "--no-timing"])
+        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert code == 3
+        failures = {rec["payload"]["identity"]: rec["payload"]["failures"] for rec in records}
+        assert {"a": 1, "b": 3, "c": 1} in failures["chu-vandermonde"]
+        # the folded von Szily sum reads [2n over n+k] for k >= 0 only, and
+        # the recurrence at --max-n 4 never reaches [4 over 1]
+        assert failures["super-catalan-three-way"] == []
 
     def test_r_route_sees_a_wrong_gaussian(self, monkeypatch, capsys):
         def wrong(n, m):

@@ -44,6 +44,8 @@ class TestBasics:
 class TestArithmetic:
     def test_add_cancellation(self):
         assert poly(1, 1) + poly(1, -1) == poly(2)
+        assert (poly(1, -2, 3) + poly(-1, 2, -3)).coeffs == ()
+        assert (poly(1, 2) - poly(1, 2)).coeffs == ()
 
     def test_add_identity(self):
         p = poly(3, 0, -2)
@@ -51,6 +53,11 @@ class TestArithmetic:
 
     def test_add_disjoint_supports(self):
         assert poly(1, 0, 1) + poly(0, 1) == poly(1, 1, 1)
+
+    def test_int_operands(self):
+        assert poly(1, 2) + 3 == 3 + poly(1, 2) == poly(4, 2)
+        assert poly(5, 1) - 5 == poly(0, 1)
+        assert 5 - poly(5, 1) == -poly(0, 1) == poly(0, -1)
 
     def test_mul_difference_of_squares(self):
         assert poly(1, 1) * poly(1, -1) == poly(1, 0, -1)
