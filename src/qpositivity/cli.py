@@ -56,7 +56,7 @@ from .identities import (
 )
 from .landau import canonicalize, enumerate_tuples, landau_check
 from .polyring import IntPoly
-from .qfactor import TupleSpec, classical_ratio, d_polynomial
+from .qfactor import TupleSpec, _scaled_ratios, classical_ratio, d_polynomial
 
 MAX_SUM_BOUND = 64
 MAX_DEGREE = 250_000
@@ -268,8 +268,9 @@ def _cmd_dpoly(args) -> list[dict]:
 
 
 def _map(fn, tasks: list, jobs: int) -> list:
-    """[fn(task) for task in tasks] on min(jobs, len(tasks)) workers; no pool for one."""
-    workers = min(jobs, len(tasks))
+    """[fn(task) for task in tasks] on min(jobs, len(tasks), CPUs) workers; no pool for one."""
+    # More workers than CPUs gain nothing, and a fork pool starts them all at the first submit.
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers <= 1:
         return [fn(task) for task in tasks]
     # Imported here, so that a one-job run never loads multiprocessing.
@@ -279,17 +280,10 @@ def _map(fn, tasks: list, jobs: int) -> list:
         return list(pool.map(fn, tasks))
 
 
-def _d_stats(a, b, n: int, full: bool) -> dict:
-    """The stats row of D_n of a/b; the one builder of both sweep record types."""
-    return dict(n=n, **_poly_stats(d_polynomial(TupleSpec(a, b).scaled(n)), full))
-
-
-def _sweep_record(task: tuple) -> dict:
-    echo, a, b, n, full = task
-    started = time.perf_counter()
-    payload = _d_stats(a, b, n, full)
-    status = "ok" if payload["is_positive"] else "negative-found"
-    return _record("sweep", dict(echo, n=n), status, payload, started)
+def _d_rows(spec: TupleSpec, n_max: int, full: bool):
+    """Stats rows of D_n of spec for n = 1..n_max, each D_n dropped once its row is made."""
+    for n, poly in enumerate(_scaled_ratios(spec, n_max), start=1):
+        yield dict(n=n, **_poly_stats(poly, full))
 
 
 def _cmd_sweep(args) -> list[dict]:
@@ -306,14 +300,19 @@ def _cmd_sweep(args) -> list[dict]:
             min_value=verdict.min_value,
         )
         return [_record("sweep", echo, "not-polynomial", payload, started)]
-    tasks = [(echo, spec.a, spec.b, n, args.full) for n in range(1, args.n_max + 1)]
-    return _map(_sweep_record, tasks, args.jobs)
+    records = []
+    started = time.perf_counter()
+    for row in _d_rows(spec, args.n_max, args.full):
+        status = "ok" if row["is_positive"] else "negative-found"
+        records.append(_record("sweep", dict(echo, n=row["n"]), status, row, started))
+        started = time.perf_counter()
+    return records
 
 
 def _tuple_sweep_record(task: tuple) -> dict:
     echo, a, b, n_max, full = task
     started = time.perf_counter()
-    per_n = [_d_stats(a, b, n, full) for n in range(1, n_max + 1)]
+    per_n = list(_d_rows(TupleSpec(a, b), n_max, full))
     negative_ns = [row["n"] for row in per_n if not row["is_positive"]]
     payload = {
         "a": list(a),

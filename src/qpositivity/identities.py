@@ -462,13 +462,14 @@ def borwein_sum(n: int) -> IntPoly:
 
     Folded as `_szily_sum` is: the k and -k terms share the Gaussian
     [2n over n+3k] = [2n over n-3k] and the sign, and their shifts are
-    binom(k,2) + 4k^2 and binom(k,2) + k + 4k^2.
+    binom(k,2) + 4k^2 and binom(k,2) + k + 4k^2.  Each row-2n Gaussian is read
+    once, so it bypasses `q_binomial`'s cache, which would only hold it.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    total = q_binomial(2 * n, n)
+    total = q_binomial.__wrapped__(2 * n, n)
     for k in range(1, n // 3 + 1):
-        p = q_binomial(2 * n, n + 3 * k)
+        p = q_binomial.__wrapped__(2 * n, n + 3 * k)
         pair = (p + p.shifted(k)).shifted(k * (k - 1) // 2 + 4 * k * k)
         total = total - pair if k % 2 else total + pair
     return total

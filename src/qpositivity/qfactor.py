@@ -13,7 +13,9 @@ another:
 
 * ``d_polynomial``      — the low half of the ratio as a truncated power
                           series in the factors (1 - q^k), mirrored (the fast
-                          path);
+                          path): the first step of ``_scaled_ratios``, the
+                          one series kernel, which grows each D_n of a sweep
+                          from D_{n-1};
 * ``d_polynomial_naive``— multiply the numerator q-factorials, then exactly
                           divide by each denominator q-factorial in turn.
 
@@ -26,11 +28,13 @@ ordinary factorials, again independently of both polynomial routes.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
 from itertools import accumulate
 from operator import sub
+from typing import Iterator
 
 from .errors import NotDivisible, NotPolynomial
 from .polyring import IntPoly
@@ -145,46 +149,53 @@ def ratio_exponents(t: TupleSpec) -> CycloExponents:
     return CycloExponents(exps, mx)
 
 
-def d_polynomial(t: TupleSpec) -> IntPoly:
-    """The ratio as a polynomial, built as a truncated power series.
+def _scaled_ratios(t: TupleSpec, n_max: int) -> Iterator[IntPoly]:
+    """D_n, the ratio of t.scaled(n), for n = 1..n_max, each grown from D_{n-1}.
 
-    The ratio is prod_k (1 - q^k)^{c_k} times (1 - q)^{sum(b) - sum(a)}, with
-    c_k = #{a_i >= k} - #{b_j >= k}.  As a product of Phi_ell with ell >= 2
-    it is palindromic, so only its coefficients below q^{deg//2 + 1} are
-    computed and the rest are mirrored.  Modulo that power of q, multiplying
-    by (1 - q^k) is one shifted subtract and dividing by it is k stride-k
-    running sums; no polynomial multiplication takes place.
+    With D_0 = 1, D_n / D_{n-1} is prod_k (1 - q^k)^{c_k} (1 - q)^{sum(b) - sum(a)},
+    where c_k counts the a-entries x with (n-1)x < k <= nx less the same count
+    over b (at n = 1, c_k = #{a_i >= k} - #{b_j >= k}).  As a product of Phi_ell
+    with ell >= 2, D_n is palindromic, so only its coefficients below
+    q^{deg//2 + 1} are computed, from D_{n-1}'s, and the rest are mirrored.
+    Modulo that power of q, multiplying by (1 - q^k) is one shifted subtract and
+    dividing by it is k stride-k running sums; no polynomial multiplication.
 
-    Raises NotPolynomial (carrying the smallest offending ell) when some
-    cyclotomic exponent is negative.
+    Seeding and mirroring are exact only while D_n is a polynomial, so every n
+    is checked by `ratio_exponents` first: the first failing n raises
+    NotPolynomial, carrying the smallest offending ell.
     """
-    ce = ratio_exponents(t)
-    bad = ce.smallest_negative()
-    if bad is not None:
-        raise NotPolynomial(
-            f"ratio {t.a}/{t.b} is not a polynomial: exponent of Phi_{bad} is "
-            f"{ce.exponents[bad]}",
-            ell=bad,
-        )
-    degree = t.degree
-    series = [1] + [0] * (degree // 2)
-    size = len(series)
-    # (k, power of 1 - q^k); factors with k >= size are 1 modulo q^size
-    powers = [
-        (k, sum(x >= k for x in t.a) - sum(x >= k for x in t.b))
-        for k in range(1, min(t.max_entry + 1, size))
-    ]
-    if powers:
-        powers[0] = (1, powers[0][1] + t.sum_b - t.sum_a)
-    # Multiplying first, then dividing largest k first, keeps intermediates small.
-    for k, e in powers:
-        for _ in range(e):
-            series[k:] = map(sub, series[k:], series[:-k])
-    for k, e in reversed(powers):
-        for _ in range(-e):
-            for r in range(k):
-                series[r::k] = accumulate(series[r::k])
-    return IntPoly(series + series[: degree + 1 - size][::-1])
+    seed = [1]
+    for n in range(1, n_max + 1):
+        s = t.scaled(n)
+        ce = ratio_exponents(s)
+        bad = ce.smallest_negative()
+        if bad is not None:
+            raise NotPolynomial(
+                f"ratio {s.a}/{s.b} is not a polynomial: exponent of Phi_{bad} is "
+                f"{ce.exponents[bad]}",
+                ell=bad,
+            )
+        size = s.degree // 2 + 1
+        series = seed[:size] + [0] * (size - len(seed))
+        # power of 1 - q^k; factors with k >= size are 1 modulo q^size
+        powers = Counter({1: t.sum_b - t.sum_a})
+        for xs, count in ((t.a, powers.update), (t.b, powers.subtract)):
+            count(k for x in xs for k in range((n - 1) * x + 1, min(n * x + 1, size)))
+        # Multiplying first, then dividing largest k first, keeps intermediates small.
+        for k in sorted(powers):
+            for _ in range(powers[k]):
+                series[k:] = map(sub, series[k:], series[:-k])
+        for k in sorted(powers, reverse=True):
+            for _ in range(-powers[k]):
+                for r in range(k):
+                    series[r::k] = accumulate(series[r::k])
+        seed = series + series[: s.degree + 1 - size][::-1]
+        yield IntPoly(seed)
+
+
+def d_polynomial(t: TupleSpec) -> IntPoly:
+    """The ratio as a polynomial: the first item of `_scaled_ratios`, which see."""
+    return next(_scaled_ratios(t, 1))
 
 
 def d_polynomial_naive(t: TupleSpec) -> IntPoly:
@@ -250,18 +261,18 @@ def classical_ratio(t: TupleSpec) -> Fraction:
 
 
 def d_n_sweep(t: TupleSpec, n_max: int) -> list[IntPoly]:
-    """The scaled ratio polynomial for every n = 1..n_max.
+    """The scaled ratio polynomial for every n = 1..n_max, each grown from the last.
 
     The caller is expected to have checked the integrality criterion; if it
     does not hold, the n at which a cyclotomic exponent first goes negative
-    raises NotPolynomial carrying that n.
+    raises NotPolynomial carrying that n (`_scaled_ratios` checks every n).
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     out = []
-    for n in range(1, n_max + 1):
-        try:
-            out.append(d_polynomial(t.scaled(n)))
-        except NotPolynomial as exc:
-            raise NotPolynomial(f"at n={n}: {exc}", ell=exc.ell, n=n) from None
+    try:
+        for poly in _scaled_ratios(t, n_max):
+            out.append(poly)
+    except NotPolynomial as exc:
+        raise NotPolynomial(f"at n={len(out) + 1}: {exc}", ell=exc.ell, n=len(out) + 1) from None
     return out

@@ -118,9 +118,51 @@ class TestSweepCommand:
 
         # _map imports the pool class when it needs one, so patch its home
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
-        code, recs = run_cli(capsys, "sweep", "--a", "2", "--b", "1,1", "--n-max", "1", "--jobs", "4")
+        code, recs = run_cli(
+            capsys,
+            "enumerate", "--r", "1", "--s", "2", "--sum-bound", "2", "--balanced",
+            "--sweep-n", "3", "--jobs", "4",
+        )
         assert code == 0
-        assert [rec["payload"]["n"] for rec in recs] == [1]
+        (rec,) = recs
+        assert [row["n"] for row in rec["payload"]["per_n"]] == [1, 2, 3]
+
+    def test_sweep_starts_no_pool(self, capsys, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("sweep grows one chain in-process")
+
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr("os.cpu_count", lambda: 4)
+        code, recs = run_cli(capsys, "sweep", "--a", "3", "--b", "2,1", "--n-max", "6", "--jobs", "4")
+        assert code == 0
+        assert [rec["payload"]["n"] for rec in recs] == [1, 2, 3, 4, 5, 6]
+
+    def test_pool_is_capped_at_the_cpu_count(self, capsys, monkeypatch):
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        args = ("enumerate", "--r", "2", "--s", "3", "--sum-bound", "16", "--balanced",
+                "--sweep-n", "1", "--no-timing")
+        code, pooled = run_raw(capsys, *args, "--jobs", "64")
+        assert code == 0
+        assert len(pooled.splitlines()) > 2  # more tasks than CPUs
+        assert sizes == [2]
+        assert pooled == run_raw(capsys, *args, "--jobs", "1")[1]
+        assert sizes == [2]
 
     def test_importing_the_cli_loads_no_worker_pool(self):
         code = (
@@ -134,10 +176,24 @@ class TestSweepCommand:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
 
-    def test_jobs_flag_gives_identical_records(self, capsys):
-        args = ("sweep", "--a", "3", "--b", "2,1", "--n-max", "6", "--no-timing")
+    def test_jobs_flag_gives_identical_records(self, capsys, monkeypatch):
+        from concurrent.futures import ProcessPoolExecutor
+
+        sizes = []
+
+        class RecordingPool(ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
+        # two workers even on a one-CPU machine, so the pool path really runs
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        args = ("enumerate", "--r", "2", "--s", "3", "--sum-bound", "8", "--balanced",
+                "--sweep-n", "4", "--no-timing")
         _, seq = run_raw(capsys, *args, "--jobs", "1")
         _, par = run_raw(capsys, *args, "--jobs", "2")
+        assert sizes == [2]
         assert seq == par
 
     def test_csv_projection(self, capsys):

@@ -182,6 +182,12 @@ class TestBorwein:
         for n in range(11):
             assert positivity_report(borwein_sum(n)).is_positive, n
 
+    def test_leaves_the_gaussian_cache_empty(self):
+        # each row-2n Gaussian is read once, so caching it would only hold it
+        q_binomial.cache_clear()
+        borwein_sum(12)
+        assert q_binomial.cache_info().currsize == 0
+
 
 class TestFoldedSums:
     @pytest.mark.parametrize("r", [1, 2, 3])

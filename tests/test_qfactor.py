@@ -4,7 +4,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qpositivity import identities
@@ -27,6 +27,13 @@ tuple_specs = st.builds(
     TupleSpec,
     st.lists(entry, min_size=1, max_size=3).map(lambda v: tuple(sorted(v, reverse=True))),
     st.lists(entry, min_size=1, max_size=3).map(lambda v: tuple(sorted(v, reverse=True))),
+)
+# b_j <= a_j entry by entry: a polynomial for every n, and unbalanced unless a == b
+dominated_specs = st.lists(st.tuples(entry, entry), min_size=1, max_size=3).map(
+    lambda pairs: TupleSpec(
+        tuple(sorted((max(p) for p in pairs), reverse=True)),
+        tuple(sorted((min(p) for p in pairs), reverse=True)),
+    )
 )
 
 
@@ -266,6 +273,30 @@ class TestSweep:
         poly = d_n_sweep(TupleSpec((30, 1), (15, 10, 6)), 1)[0]
         assert poly.degree == 270
         assert min(poly.coeffs) >= 0
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.one_of(tuple_specs, dominated_specs))
+    @example(TupleSpec((6, 1, 1), (5, 3)))  # a polynomial at n = 1 only
+    @example(TupleSpec((9, 2, 2), (7, 3)))  # a polynomial at n = 1 and 2 only
+    def test_chain_matches_the_per_n_route(self, t):
+        n_max = 5
+        expected, failure = [], None
+        for n in range(1, n_max + 1):
+            try:
+                expected.append(d_polynomial(t.scaled(n)))
+            except NotPolynomial as exc:
+                failure = (n, exc.ell)
+                break
+        if failure is None:
+            assert d_n_sweep(t, n_max) == expected
+        else:
+            with pytest.raises(NotPolynomial) as info:
+                d_n_sweep(t, n_max)
+            assert (info.value.n, info.value.ell) == failure
+            if expected:
+                assert d_n_sweep(t, len(expected)) == expected
+        for n, poly in enumerate(expected[:2], start=1):
+            assert poly == d_polynomial_naive(t.scaled(n))
 
     def test_failure_reports_the_n(self):
         # polynomial at n=1 (the 6th cyclotomic polynomial) but the scaled
