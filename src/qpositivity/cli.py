@@ -9,13 +9,18 @@ with the stable shape
 where status is one of ok, not-polynomial, negative-found,
 identity-violation.  Coefficient values are decimal strings; they routinely
 exceed 64 bits.  Exit codes: 0 for success (including not-polynomial, which
-is an answer, not an error), 1 for usage errors, 2 when a negative
-coefficient was found, 3 on an internal identity violation.
+is an answer, not an error), 1 for usage errors and for a reader that closes
+stdout early (the run then stops quietly and writes no --out file), 2 when a
+negative coefficient was found, 3 on an internal identity violation.
 
-Output is deterministic; `--no-timing` drops the elapsed_ms field so two
-runs can be compared byte for byte.  `--out DIR` persists the run as one
-JSON file keyed by a hash of the command and its parameters, and a later
-identical invocation replays the stored records instead of recomputing.  The
+Each record is printed and flushed as soon as it is made.  Its elapsed_ms is
+the time from the previous record (or the start of the command) to this one:
+under --jobs 1 the time spent making it, under a worker pool the wait a
+reader sees.  Output is deterministic; `--no-timing` drops the elapsed_ms
+field so two runs can be compared byte for byte.  `--out DIR` persists the
+run, once it completes, as one JSON file keyed by a hash of the command and
+its parameters, and a later identical invocation replays the stored records
+(with their stored elapsed_ms) instead of recomputing.  The
 key also holds the package version and the record schema, so a file written
 by another version is not replayed.  The file is written atomically; one that
 cannot be read back, whose stored key differs, or whose records lack the shape
@@ -41,6 +46,7 @@ import sys
 import tempfile
 import time
 from fractions import Fraction
+from typing import Iterator
 
 from . import __version__
 from .errors import Degenerate, IdentityViolation, NotPolynomial
@@ -168,14 +174,8 @@ def _poly_stats(poly: IntPoly, full: bool) -> dict:
     return stats
 
 
-def _record(command: str, input_echo: dict, status: str, payload: dict, started: float) -> dict:
-    return {
-        "command": command,
-        "input": input_echo,
-        "status": status,
-        "payload": payload,
-        "elapsed_ms": int((time.perf_counter() - started) * 1000),
-    }
+def _record(command: str, input_echo: dict, status: str, payload: dict) -> dict:
+    return {"command": command, "input": input_echo, "status": status, "payload": payload}
 
 
 def _check_degree(spec: TupleSpec, n: int) -> None:
@@ -227,8 +227,7 @@ def _resolve_spec(a, b, raw: bool):
 # --- subcommands -----------------------------------------------------------
 
 
-def _cmd_landau(args) -> list[dict]:
-    started = time.perf_counter()
+def _cmd_landau(args) -> Iterator[dict]:
     echo = {"a": list(args.a), "b": list(args.b), "raw": args.raw}
     spec, info = _resolve_spec(args.a, args.b, args.raw)
     _check_entry(spec)
@@ -241,11 +240,10 @@ def _cmd_landau(args) -> list[dict]:
     )
     # a failing criterion means some scaling yields a non-polynomial ratio
     status = "ok" if verdict.holds else "not-polynomial"
-    return [_record("landau", echo, status, payload, started)]
+    yield _record("landau", echo, status, payload)
 
 
-def _cmd_dpoly(args) -> list[dict]:
-    started = time.perf_counter()
+def _cmd_dpoly(args) -> Iterator[dict]:
     echo = {"a": list(args.a), "b": list(args.b), "n": args.n, "raw": args.raw}
     spec, info = _resolve_spec(args.a, args.b, args.raw)
     _check_degree(spec, args.n)
@@ -253,7 +251,8 @@ def _cmd_dpoly(args) -> list[dict]:
         poly = d_polynomial(spec.scaled(args.n))
     except NotPolynomial as exc:
         payload = dict(info, n=args.n, reason=str(exc), smallest_failing_ell=exc.ell)
-        return [_record("dpoly", echo, "not-polynomial", payload, started)]
+        yield _record("dpoly", echo, "not-polynomial", payload)
+        return
     stats = _poly_stats(poly, full=True)
     value_at_1 = poly.evaluate(1)
     classical = classical_ratio(spec.scaled(args.n))
@@ -264,20 +263,21 @@ def _cmd_dpoly(args) -> list[dict]:
         q1_agrees=Fraction(value_at_1) == classical,
     )
     status = "ok" if stats["is_positive"] else "negative-found"
-    return [_record("dpoly", echo, status, payload, started)]
+    yield _record("dpoly", echo, status, payload)
 
 
-def _map(fn, tasks: list, jobs: int) -> list:
-    """[fn(task) for task in tasks] on min(jobs, len(tasks), CPUs) workers; no pool for one."""
+def _map(fn, tasks: list, jobs: int) -> Iterator:
+    """(fn(task) for task in tasks) on min(jobs, len(tasks), CPUs) workers; no pool for one."""
     # More workers than CPUs gain nothing, and a fork pool starts them all at the first submit.
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers <= 1:
-        return [fn(task) for task in tasks]
+        yield from map(fn, tasks)
+        return
     # Imported here, so that a one-job run never loads multiprocessing.
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks))
+        yield from pool.map(fn, tasks)
 
 
 def _d_rows(spec: TupleSpec, n_max: int, full: bool):
@@ -286,8 +286,7 @@ def _d_rows(spec: TupleSpec, n_max: int, full: bool):
         yield dict(n=n, **_poly_stats(poly, full))
 
 
-def _cmd_sweep(args) -> list[dict]:
-    started = time.perf_counter()
+def _cmd_sweep(args) -> Iterator[dict]:
     echo = {"a": list(args.a), "b": list(args.b), "n_max": args.n_max, "raw": args.raw}
     spec, info = _resolve_spec(args.a, args.b, args.raw)
     _check_degree(spec, args.n_max)
@@ -299,19 +298,15 @@ def _cmd_sweep(args) -> list[dict]:
             witness=str(verdict.witness),
             min_value=verdict.min_value,
         )
-        return [_record("sweep", echo, "not-polynomial", payload, started)]
-    records = []
-    started = time.perf_counter()
+        yield _record("sweep", echo, "not-polynomial", payload)
+        return
     for row in _d_rows(spec, args.n_max, args.full):
         status = "ok" if row["is_positive"] else "negative-found"
-        records.append(_record("sweep", dict(echo, n=row["n"]), status, row, started))
-        started = time.perf_counter()
-    return records
+        yield _record("sweep", dict(echo, n=row["n"]), status, row)
 
 
 def _tuple_sweep_record(task: tuple) -> dict:
     echo, a, b, n_max, full = task
-    started = time.perf_counter()
     per_n = list(_d_rows(TupleSpec(a, b), n_max, full))
     negative_ns = [row["n"] for row in per_n if not row["is_positive"]]
     payload = {
@@ -323,10 +318,10 @@ def _tuple_sweep_record(task: tuple) -> dict:
         "per_n": per_n,
     }
     status = "ok" if not negative_ns else "negative-found"
-    return _record("enumerate", dict(echo), status, payload, started)
+    return _record("enumerate", dict(echo), status, payload)
 
 
-def _cmd_enumerate(args) -> list[dict]:
+def _cmd_enumerate(args) -> Iterator[dict]:
     if args.sum_bound > MAX_SUM_BOUND:
         raise _UsageError(f"--sum-bound is capped at {MAX_SUM_BOUND}")
     if args.sum_bound < 2:
@@ -338,22 +333,18 @@ def _cmd_enumerate(args) -> list[dict]:
         "balanced": args.balanced,
         "sweep_n": args.sweep_n,
     }
-    started = time.perf_counter()
     tuples = enumerate_tuples(args.r, args.s, args.sum_bound, balanced_only=args.balanced)
     if args.sweep_n is None:
-        records = []
         for t in tuples:
-            payload = {"a": list(t.a), "b": list(t.b)}
-            records.append(_record("enumerate", dict(echo), "ok", payload, started))
-            started = time.perf_counter()
-        return records
+            yield _record("enumerate", dict(echo), "ok", {"a": list(t.a), "b": list(t.b)})
+        return
     for t in tuples:
         _check_degree(t, args.sweep_n)
     tasks = [(echo, t.a, t.b, args.sweep_n, args.full) for t in tuples]
-    return _map(_tuple_sweep_record, tasks, args.jobs)
+    yield from _map(_tuple_sweep_record, tasks, args.jobs)
 
 
-def _cmd_identities(args) -> list[dict]:
+def _cmd_identities(args) -> Iterator[dict]:
     if args.max_n > MAX_IDENTITY_N:
         raise _UsageError(f"--max-n is capped at {MAX_IDENTITY_N}")
     echo = {"max_n": args.max_n}
@@ -372,9 +363,7 @@ def _cmd_identities(args) -> list[dict]:
         ("r-unit-shift", ("n", "m"), itertools.product(span, span),
          lambda n, m: r_poly(n, m, 1, 1) == IntPoly.monomial(n * m)),
     ]
-    records = []
     for name, keys, cases, check in table:
-        started = time.perf_counter()
         failures, count = [], 0
         for count, case in enumerate(cases, start=1):
             try:
@@ -385,37 +374,33 @@ def _cmd_identities(args) -> list[dict]:
                 failures.append(dict(zip(keys, case)))
         status = "ok" if not failures else "identity-violation"
         payload = {"identity": name, "cases": count, "failures": failures}
-        records.append(_record("identities", dict(echo, identity=name), status, payload, started))
-    return records
+        yield _record("identities", dict(echo, identity=name), status, payload)
 
 
-def _cmd_borwein(args) -> list[dict]:
+def _cmd_borwein(args) -> Iterator[dict]:
     if args.n_max > MAX_BORWEIN_N:
         raise _UsageError(f"--n-max is capped at {MAX_BORWEIN_N}")
     echo = {"n_max": args.n_max}
-    records = []
     for n in range(args.n_max + 1):
-        started = time.perf_counter()
         payload = dict(n=n, **_poly_stats(borwein_sum(n), args.full))
         status = "ok" if payload["is_positive"] else "negative-found"
-        records.append(_record("borwein", dict(echo, n=n), status, payload, started))
-    return records
+        yield _record("borwein", dict(echo, n=n), status, payload)
 
 
-def _cmd_rpoly(args) -> list[dict]:
+def _cmd_rpoly(args) -> Iterator[dict]:
     size = args.r * args.n**2 + args.s * args.m**2
     if size > MAX_RPOLY_SIZE:
         raise _UsageError(f"r*n^2 + s*m^2 is {size}, above the cap of {MAX_RPOLY_SIZE}")
-    started = time.perf_counter()
     echo = {"n": args.n, "m": args.m, "r": args.r, "s": args.s}
     try:
         poly = r_poly(args.n, args.m, args.r, args.s)
     except IdentityViolation as exc:
         payload = dict(echo, reason=str(exc))
-        return [_record("rpoly", echo, "identity-violation", payload, started)]
+        yield _record("rpoly", echo, "identity-violation", payload)
+        return
     payload = dict(echo, **_poly_stats(poly, full=True))
     status = "ok" if payload["is_positive"] else "negative-found"
-    return [_record("rpoly", echo, status, payload, started)]
+    yield _record("rpoly", echo, status, payload)
 
 
 _DISPATCH = {
@@ -438,31 +423,22 @@ class _UsageError(Exception):
 _CSV_FIELDS = ("n", "degree", "num_terms", "min_coeff", "is_positive")
 
 
-def _exit_code(records: list[dict]) -> int:
-    return max((_STATUS_EXIT[rec["status"]] for rec in records), default=0)
+def _csv_rows(rec: dict) -> list[dict]:
+    """Per-polynomial projection of one record; none if it has no coefficient stats."""
+    payload = rec["payload"]
+    rows = payload.get("per_n", [payload] if "degree" in payload else [])
+    return [{k: row.get(k) for k in _CSV_FIELDS} for row in rows]
 
 
-def _csv_rows(records: list[dict]):
-    """Per-polynomial projection; records without coefficient stats are skipped."""
-    for rec in records:
-        payload = rec["payload"]
-        if "per_n" in payload:
-            yield from ({k: row.get(k) for k in _CSV_FIELDS} for row in payload["per_n"])
-        elif "degree" in payload:
-            yield {k: payload.get(k) for k in _CSV_FIELDS}
-
-
-def _emit(records: list[dict], fmt: str, no_timing: bool) -> None:
-    if fmt == "csv":
-        writer = csv.DictWriter(sys.stdout, fieldnames=_CSV_FIELDS)
-        writer.writeheader()
-        for row in _csv_rows(records):
-            writer.writerow(row)
-        return
-    for rec in records:
+def _emit(rec: dict, writer, no_timing: bool) -> None:
+    """Print one record, as CSV rows through writer if there is one, and flush it."""
+    if writer is not None:
+        writer.writerows(_csv_rows(rec))
+    else:
         if no_timing:
             rec = {k: v for k, v in rec.items() if k != "elapsed_ms"}
         print(json.dumps(rec, sort_keys=True))
+    sys.stdout.flush()
 
 
 # Flags that shape only how a run is printed or scheduled, never its records.
@@ -524,7 +500,7 @@ def _store(path: str, blob: dict) -> None:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    out_path = None
+    out_path = replayed = None
     if args.out:
         key = {
             "command": args.command,
@@ -540,19 +516,36 @@ def main(argv=None) -> int:
             print(f"qpos {args.command}: error: {msg}", file=sys.stderr)
             return 1
         out_path = os.path.join(args.out, f"{args.command}-{digest}.json")
-        records = _load_records(out_path, key)
-        if records is not None:
-            _emit(records, args.format, args.no_timing)
-            return _exit_code(records)
+        replayed = _load_records(out_path, key)
+    records = iter(replayed) if replayed is not None else _DISPATCH[args.command](args)
     try:
-        records = _DISPATCH[args.command](args)
+        # Every usage check runs before a command's first record, so pull that first.
+        started = time.perf_counter()
+        first = list(itertools.islice(records, 1))
     except _UsageError as exc:
         print(f"qpos {args.command}: error: {exc}", file=sys.stderr)
         return 1
-    if out_path is not None:
-        _store(out_path, dict(key, records=records))
-    _emit(records, args.format, args.no_timing)
-    return _exit_code(records)
+    writer = csv.DictWriter(sys.stdout, fieldnames=_CSV_FIELDS) if args.format == "csv" else None
+    keep = out_path is not None and replayed is None
+    kept, worst = [], 0
+    try:
+        if writer is not None:
+            writer.writeheader()
+        for rec in itertools.chain(first, records):
+            # A replayed record keeps the time stored with it.
+            rec.setdefault("elapsed_ms", int((time.perf_counter() - started) * 1000))
+            worst = max(worst, _STATUS_EXIT[rec["status"]])
+            if keep:
+                kept.append(rec)
+            _emit(rec, writer, args.no_timing)
+            started = time.perf_counter()
+    except BrokenPipeError:
+        # The reader closed stdout: stop, and keep the exit-time flush from raising again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    if keep:
+        _store(out_path, dict(key, records=kept))
+    return worst
 
 
 if __name__ == "__main__":

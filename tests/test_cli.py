@@ -494,9 +494,17 @@ class TestDeterminismAndCaching:
         assert first == second
         assert "elapsed_ms" not in first
 
-    def test_timing_present_by_default(self, capsys):
-        _, recs = run_cli(capsys, "landau", "--a", "2", "--b", "1,1")
-        assert isinstance(recs[0]["elapsed_ms"], int)
+    @pytest.mark.parametrize(
+        "argv",
+        [("landau", "--a", "2", "--b", "1,1"), ("sweep", "--a", "2", "--b", "1,1", "--n-max", "3")],
+        ids=["landau", "sweep"],
+    )
+    def test_timing_present_by_default(self, capsys, argv):
+        _, recs = run_cli(capsys, *argv)
+        assert recs
+        for rec in recs:
+            assert isinstance(rec["elapsed_ms"], int)
+            assert rec["elapsed_ms"] >= 0
 
     def test_out_dir_persists_and_replays(self, capsys, tmp_path, monkeypatch):
         args = (
@@ -637,6 +645,70 @@ class TestDeterminismAndCaching:
         assert out == ""
         assert err.startswith("qpos landau: error: cannot use --out")
         assert (tmp_path / "taken").read_text() == "keep\n"
+
+
+class TestStreaming:
+    def test_sweep_prints_each_record_as_it_is_made(self, capsys, monkeypatch):
+        chain = cli._scaled_ratios
+        seen = []
+
+        def checked(spec, n_max):
+            for n, poly in enumerate(chain(spec, n_max), start=1):
+                if n == 2:
+                    seen.append(capsys.readouterr().out)
+                yield poly
+
+        monkeypatch.setattr(cli, "_scaled_ratios", checked)
+        assert cli.main(["sweep", "--a", "2", "--b", "1,1", "--n-max", "3"]) == 0
+        (early,) = seen
+        assert [json.loads(line)["payload"]["n"] for line in early.splitlines()] == [1]
+
+    def test_identities_prints_each_record_as_it_is_made(self, capsys, monkeypatch):
+        check = cli.b_poly_check
+        seen = []
+
+        def checked(n, m):
+            if not seen:
+                seen.append(capsys.readouterr().out)
+            return check(n, m)
+
+        monkeypatch.setattr(cli, "b_poly_check", checked)
+        assert cli.main(["identities", "--max-n", "2"]) == 0
+        (early,) = seen
+        names = [json.loads(line)["payload"]["identity"] for line in early.splitlines()]
+        assert names == ["super-catalan-three-way"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("enumerate", "--r", "2", "--s", "3", "--sum-bound", "65"),
+            ("dpoly", "--a", "30,1", "--b", "15,10,6", "--n", "60"),
+        ],
+        ids=["sum-bound", "degree"],
+    )
+    def test_refused_run_prints_no_csv_header(self, capsys, argv):
+        code, out = run_raw(capsys, *argv, "--format", "csv")
+        assert code == 1
+        assert out == ""
+
+    def test_closed_pipe_exits_cleanly_and_stores_nothing(self, tmp_path):
+        argv = ("sweep", "--a", "30,1", "--b", "15,10,6", "--n-max", "20", "--full",
+                "--jobs", "1", "--out", str(tmp_path))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "qpositivity", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        first = json.loads(proc.stdout.readline())
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert first["payload"]["n"] == 1
+        assert "Traceback" not in err
+        assert "Exception ignored" not in err
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_module_entry_point():
