@@ -20,11 +20,12 @@ reader sees.  Output is deterministic; `--no-timing` drops the elapsed_ms
 field so two runs can be compared byte for byte.  `--out DIR` persists the
 run, once it completes, as one JSON file keyed by a hash of the command and
 its parameters, and a later identical invocation replays the stored records
-(with their stored elapsed_ms) instead of recomputing.  The
-key also holds the package version and the record schema, so a file written
-by another version is not replayed.  The file is written atomically; one that
-cannot be read back, whose stored key differs, or whose records lack the shape
-above is recomputed and overwritten.
+(with their stored elapsed_ms) instead of recomputing.  The key also holds
+the package version and the record schema, so a file written by another
+version is not replayed.  The file is written atomically; one that cannot be
+read back, whose stored key differs, or whose records lack the shape above is
+recomputed and overwritten.  The modules only --out and --format csv use
+(hashlib, tempfile, csv) are imported on demand, so other runs never load them.
 
 dpoly, sweep and enumerate --sweep-n refuse, as a usage error and before any
 other work (sweep's Landau verdict included), any D_n whose degree
@@ -37,15 +38,11 @@ degree of its alternating sum) above MAX_RPOLY_SIZE.
 from __future__ import annotations
 
 import argparse
-import csv
-import hashlib
 import itertools
 import json
 import os
 import sys
-import tempfile
 import time
-from fractions import Fraction
 from typing import Iterator
 
 from . import __version__
@@ -205,7 +202,7 @@ def _check_entry(spec: TupleSpec) -> None:
 
 def _resolve_spec(a, b, raw: bool):
     """(spec, canonicalization info) honoring --raw; Degenerate means D = 1."""
-    given = TupleSpec(tuple(a), tuple(b))
+    given = TupleSpec(a, b)
     if raw:
         return given, {"canonical_a": list(given.a), "canonical_b": list(given.b)}
     try:
@@ -260,7 +257,7 @@ def _cmd_dpoly(args) -> Iterator[dict]:
     payload.update(
         value_at_1=str(value_at_1),
         classical_ratio=str(classical),
-        q1_agrees=Fraction(value_at_1) == classical,
+        q1_agrees=classical == value_at_1,
     )
     status = "ok" if stats["is_positive"] else "negative-found"
     yield _record("dpoly", echo, status, payload)
@@ -487,6 +484,8 @@ def _load_records(path: str, key: dict) -> list[dict] | None:
 
 def _store(path: str, blob: dict) -> None:
     """Write blob as JSON through a temp file in path's directory, then os.replace it."""
+    import tempfile
+
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".tmp-", suffix=".json")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
@@ -502,6 +501,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     out_path = replayed = None
     if args.out:
+        import hashlib
+
         key = {
             "command": args.command,
             "params": _cache_key(args),
@@ -525,7 +526,11 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"qpos {args.command}: error: {exc}", file=sys.stderr)
         return 1
-    writer = csv.DictWriter(sys.stdout, fieldnames=_CSV_FIELDS) if args.format == "csv" else None
+    writer = None
+    if args.format == "csv":
+        import csv
+
+        writer = csv.DictWriter(sys.stdout, fieldnames=_CSV_FIELDS)
     keep = out_path is not None and replayed is None
     kept, worst = [], 0
     try:

@@ -47,10 +47,10 @@ q^{binom(k,2)} (1 + q^k), an identity of polynomials.  The q = 1 oracle
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
 from math import comb
+from typing import NamedTuple
 
 from .errors import IdentityViolation, NotDivisible
 from .polyring import IntPoly, from_image, to_image
@@ -75,8 +75,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PositivityReport:
+class PositivityReport(NamedTuple):
     """Coefficient-level facts about one polynomial.
 
     `degree` is None for the zero polynomial.  `is_symmetric` means

@@ -21,16 +21,15 @@ returns at the first negative value: most candidates fail, after a few points.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from .errors import Degenerate
 from .qfactor import TupleSpec
 
 
-@dataclass(frozen=True)
-class LandauVerdict:
+class LandauVerdict(NamedTuple):
     """Outcome of the criterion check.
 
     `witness` is a rational point (lowest terms) where the floor sum is
@@ -44,8 +43,7 @@ class LandauVerdict:
     min_value: int
 
 
-@dataclass(frozen=True)
-class CanonicalTuple:
+class CanonicalTuple(NamedTuple):
     """A tuple pair after cancellation and sorting, with its primitivity flag."""
 
     spec: TupleSpec
@@ -147,8 +145,7 @@ def canonicalize(t: TupleSpec) -> CanonicalTuple:
         b.append(keep)
         a.sort(reverse=True)
         b.sort(reverse=True)
-    spec = TupleSpec(tuple(a), tuple(b))
-    return CanonicalTuple(spec, primitive=gcd(*spec.a, *spec.b) == 1)
+    return CanonicalTuple(TupleSpec(a, b), primitive=gcd(*a, *b) == 1)
 
 
 def _descending_tuples(size: int, total: int, cap: int | None = None):
@@ -185,24 +182,22 @@ def enumerate_tuples(
     filtered out unless primitive_only is False.  Each candidate is decided by
     ``_holds``, which stops at its first negative breakpoint value (most
     candidates fail, after a few points), and only passing pairs become
-    ``TupleSpec``s.  Output is deduplicated and in lexicographic order.
+    ``TupleSpec``s, each pair generated once.  Output is in lexicographic order.
     """
     if r < 1 or s < 1:
         raise ValueError("tuple sizes must be >= 1")
     if sum_bound < 2:
         raise ValueError("sum_bound must be >= 2")
-    found = set()
+    found = []
     for total_a in range(r, sum_bound + 1):
         for a in _descending_tuples(r, total_a):
             b_sums = (total_a,) if balanced_only else range(s, total_a + 1)
             for total_b in b_sums:
-                if total_b < s:
-                    continue
                 for b in _descending_tuples(s, total_b, a[0] - 1):
                     if set(a) & set(b):
                         continue
                     if primitive_only and gcd(*a, *b) != 1:
                         continue
                     if _holds(a, b):
-                        found.add(TupleSpec(a, b))
-    return sorted(found, key=lambda t: (t.a, t.b))
+                        found.append(TupleSpec(a, b))
+    return sorted(found)

@@ -29,41 +29,43 @@ ordinary factorials, again independently of both polynomial routes.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
 from itertools import accumulate
 from operator import sub
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import NotDivisible, NotPolynomial
 from .polyring import IntPoly
 
 
-@dataclass(frozen=True)
-class TupleSpec:
-    """A pair of positive-integer tuples naming a factorial ratio.
-
-    Both sides must be nonempty; a ratio with an empty denominator is written
-    with b = (1,) since [1]! = 1.
-    """
-
+class _TuplePair(NamedTuple):
     a: tuple[int, ...]
     b: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", tuple(self.a))
-        object.__setattr__(self, "b", tuple(self.b))
-        if not self.a or not self.b:
+
+class TupleSpec(_TuplePair):
+    """A pair of positive-integer tuples naming a factorial ratio.
+
+    Both sides must be nonempty; a ratio with an empty denominator is written
+    with b = (1,) since [1]! = 1.  Specs compare and sort as the pair (a, b).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, a, b):
+        a, b = tuple(a), tuple(b)
+        if not a or not b:
             raise ValueError("both tuple sides must be nonempty")
-        if any(x < 1 for x in self.a) or any(x < 1 for x in self.b):
+        if any(x < 1 for x in a) or any(x < 1 for x in b):
             raise ValueError("tuple entries must be positive integers")
+        return super().__new__(cls, a, b)
 
     def scaled(self, n: int) -> TupleSpec:
         """The tuple with every entry multiplied by n."""
         if n < 1:
             raise ValueError("scale must be >= 1")
-        return TupleSpec(tuple(x * n for x in self.a), tuple(x * n for x in self.b))
+        return TupleSpec([x * n for x in self.a], [x * n for x in self.b])
 
     @property
     def sum_a(self) -> int:
@@ -83,8 +85,7 @@ class TupleSpec:
         return max(max(self.a), max(self.b))
 
 
-@dataclass(frozen=True)
-class CycloExponents:
+class CycloExponents(NamedTuple):
     """Exponent of Phi_ell in a factorial ratio, for every ell with a nonzero one.
 
     Indices ell run over 2..max_ell; anything above max_ell (the largest tuple

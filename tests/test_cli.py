@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +24,13 @@ def run_raw(capsys, *argv):
 
 
 STALE = {"payload": {"stale": True}}
+
+# Modules `import qpositivity.cli` must not load: the record machinery of
+# dataclasses, the --out and --format csv modules, and the worker pool.
+LAZY = ("dataclasses", "inspect", "hashlib", "_hashlib", "csv", "tempfile",
+        "concurrent.futures.process", "multiprocessing")
+# The package's own source directory, so that a `python -S` child finds it.
+SRC_ENV = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
 
 
 def _edit_cache(records=None, **key):
@@ -172,6 +181,16 @@ class TestSweepCommand:
         )
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
+    def test_importing_the_cli_loads_no_output_only_module(self):
+        # -S: no site, whose own imports could load (or hide) any of these
+        code = f"import sys, qpositivity.cli; print(sorted(set({LAZY!r}) & set(sys.modules)))"
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60,
+            env=SRC_ENV,
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
@@ -524,6 +543,24 @@ class TestDeterminismAndCaching:
         code, second = run_raw(capsys, *args)
         assert code == 0
         assert second == first
+
+    def test_lazy_output_modules_in_a_fresh_interpreter(self, tmp_path):
+        # A fresh -S interpreter: no module pytest loaded can stand in for a
+        # missing import of csv, hashlib or tempfile on this path.
+        argv = [sys.executable, "-S", "-m", "qpositivity", "dpoly", "--a", "2", "--b", "1,1",
+                "--n", "3", "--format", "csv", "--out", str(tmp_path)]
+        first = subprocess.run(argv, capture_output=True, text=True, timeout=60, env=SRC_ENV)
+        assert first.returncode == 0, first.stderr
+        (stored,) = tmp_path.iterdir()
+        written = stored.stat()
+        second = subprocess.run(argv, capture_output=True, text=True, timeout=60, env=SRC_ENV)
+        assert second.returncode == 0, second.stderr
+        assert second.stdout == first.stdout
+        assert first.stdout.splitlines()[0] == ",".join(cli._CSV_FIELDS)
+        # replayed: a recomputed run would os.replace the file with a new one
+        (again,) = tmp_path.iterdir()
+        assert (again.stat().st_ino, again.stat().st_mtime_ns) == (
+            written.st_ino, written.st_mtime_ns)
 
     def test_out_dir_distinguishes_inputs(self, capsys, tmp_path):
         base = ("sweep", "--a", "2", "--b", "1,1", "--out", str(tmp_path))

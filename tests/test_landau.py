@@ -334,7 +334,9 @@ class TestBoberCensus:
         assert set(got) == family
 
     def test_two_by_three_census(self):
-        got = set(enumerate_tuples(2, 3, 40, balanced_only=True))
+        out = enumerate_tuples(2, 3, 40, balanced_only=True)
+        assert len(set(out)) == len(out)
+        got = set(out)
         census = Counter(bober_family(t) for t in got)
         assert census == {"A": 62, "B": 78, "sporadic": 29}
         pairs = [(x, y) for x, y in _coprime_pairs(40) if x > y and x != 2 * y]

@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 import sys
 from fractions import Fraction
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qpositivity import identities
+from qpositivity import identities, landau
 from qpositivity.errors import NotPolynomial
 from qpositivity.polyring import IntPoly, cyclotomic, to_image
 from qpositivity.qfactor import (
@@ -60,6 +61,50 @@ class TestTupleSpec:
         assert t.sum_a == 31
         assert t.sum_b == 31
         assert t.max_entry == 30
+
+    def test_sides_are_coerced_to_tuples(self):
+        t = TupleSpec([2, 1], [3])
+        assert t.a == (2, 1)
+        assert t.b == (3,)
+
+    def test_pickle_round_trip(self):
+        t = TupleSpec((30, 1), (15, 10, 6))
+        back = pickle.loads(pickle.dumps(t))
+        assert back == t
+        assert type(back) is TupleSpec
+
+    def test_repr(self):
+        assert repr(TupleSpec([2, 1], [3])) == "TupleSpec(a=(2, 1), b=(3,))"
+
+    def test_ordered_by_a_then_b(self):
+        ts = [TupleSpec((3,), (1, 1)), TupleSpec((2,), (1, 1)), TupleSpec((3,), (2,))]
+        assert sorted(ts) == [ts[1], ts[0], ts[2]]
+
+
+# Each record type of the package: a maker of one instance, a field name,
+# and whether it hashes (CycloExponents holds a dict).
+RECORDS = {
+    "TupleSpec": (lambda: TupleSpec([2, 1], [3]), "a", True),
+    "CycloExponents": (lambda: ratio_exponents(TupleSpec((4,), (2, 2))), "exponents", False),
+    "LandauVerdict": (lambda: landau.landau_check(TupleSpec((2,), (1, 1, 1))), "witness", True),
+    "CanonicalTuple": (lambda: landau.canonicalize(TupleSpec((6, 2), (4, 3, 1, 2))), "spec", True),
+    "PositivityReport": (lambda: identities.positivity_report(IntPoly([1, -1, 1])), "degree", True),
+}
+
+
+@pytest.mark.parametrize("make, field, hashable", RECORDS.values(), ids=list(RECORDS))
+class TestRecords:
+    def test_attributes_cannot_be_assigned(self, make, field, hashable):
+        record = make()
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            record.extra = 1
+
+    def test_equal_fields_give_equal_records(self, make, field, hashable):
+        assert make() == make()
+        if hashable:
+            assert hash(make()) == hash(make())
 
 
 class TestQInteger:
