@@ -335,6 +335,7 @@ def _cmd_enumerate(args) -> Iterator[dict]:
         for t in tuples:
             yield _record("enumerate", dict(echo), "ok", {"a": list(t.a), "b": list(t.b)})
         return
+    tuples = list(tuples)
     for t in tuples:
         _check_degree(t, args.sweep_n)
     tasks = [(echo, t.a, t.b, args.sweep_n, args.full) for t in tuples]

@@ -16,17 +16,24 @@ tuple entry, and f(x+1) = f(x) + (sum(a) - sum(b)).  So:
 smallest witness.  ``enumerate_tuples`` needs only the yes/no, so it calls the
 decide-only ``_holds``, which visits the same points, largest d first, and
 returns at the first negative value: most candidates fail, after a few points.
+It generates the b-tuples once per call into a table, walks the a-tuples in
+lexicographic order against it, and yields each passing pair as soon as it is
+decided, already in (a, b) order.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
-from fractions import Fraction
+from itertools import islice
 from math import gcd
-from typing import NamedTuple
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .errors import Degenerate
 from .qfactor import TupleSpec
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class LandauVerdict(NamedTuple):
@@ -71,6 +78,8 @@ def landau_check(t: TupleSpec) -> LandauVerdict:
     minimizer.  Sum-deficient tuples get a witness beyond the first period by
     shifting the period minimizer.
     """
+    from fractions import Fraction
+
     a, b = t.a, t.b
     min_value, min_k, min_d = 0, 0, 1
     for d in set(b):
@@ -148,18 +157,13 @@ def canonicalize(t: TupleSpec) -> CanonicalTuple:
     return CanonicalTuple(TupleSpec(a, b), primitive=gcd(*a, *b) == 1)
 
 
-def _descending_tuples(size: int, total: int, cap: int | None = None):
-    """All weakly-decreasing positive tuples of the given size and exact sum."""
-    if cap is None:
-        cap = total
-    if total > size * cap:
+def _descending_tuples(size: int, bound: int, cap: int):
+    """Weakly decreasing positive tuples, sum <= bound and entries <= cap, in lex order."""
+    if size == 0:
+        yield ()
         return
-    if size == 1:
-        if 1 <= total <= cap:
-            yield (total,)
-        return
-    for first in range(min(cap, total - size + 1), 0, -1):
-        for rest in _descending_tuples(size - 1, total - first, first):
+    for first in range(1, min(cap, bound - size + 1) + 1):
+        for rest in _descending_tuples(size - 1, bound - first, first):
             yield (first, *rest)
 
 
@@ -169,7 +173,7 @@ def enumerate_tuples(
     sum_bound: int,
     balanced_only: bool,
     primitive_only: bool = True,
-) -> list[TupleSpec]:
+) -> Iterator[TupleSpec]:
     """All canonical criterion-satisfying tuple pairs with |a| = r, |b| = s.
 
     Canonical means: both sides weakly decreasing and no entry common to both.
@@ -179,25 +183,31 @@ def enumerate_tuples(
     x = 1/b_1, f = sum(a_i // b_1) - #{j : b_j = b_1}, which is negative unless
     some a_i >= b_1, and disjointness then forces a_1 > b_1.  Imprimitive
     pairs (gcd of all entries > 1) are scale-ups of primitive ones and are
-    filtered out unless primitive_only is False.  Each candidate is decided by
-    ``_holds``, which stops at its first negative breakpoint value (most
-    candidates fail, after a few points), and only passing pairs become
-    ``TupleSpec``s, each pair generated once.  Output is in lexicographic order.
+    filtered out unless primitive_only is False.
+
+    The b-tuples (entries below a_1 <= sum_bound - r + 1) are generated once,
+    in lexicographic order, into a table: a bucket per sum when balanced_only,
+    else one bucket, whose sum-deficient candidates ``_holds`` rejects first.
+    The a-tuples follow lazily in the same order, each scanning the prefix of
+    its bucket with b_1 < a_1, so the pairs come out in (a, b) order with
+    nothing collected or sorted, each as soon as ``_holds`` (which stops at
+    its first negative breakpoint value) accepts it.  Bad bounds raise at the
+    call, not at the first pair.
     """
     if r < 1 or s < 1:
         raise ValueError("tuple sizes must be >= 1")
     if sum_bound < 2:
         raise ValueError("sum_bound must be >= 2")
-    found = []
-    for total_a in range(r, sum_bound + 1):
-        for a in _descending_tuples(r, total_a):
-            b_sums = (total_a,) if balanced_only else range(s, total_a + 1)
-            for total_b in b_sums:
-                for b in _descending_tuples(s, total_b, a[0] - 1):
-                    if set(a) & set(b):
-                        continue
-                    if primitive_only and gcd(*a, *b) != 1:
-                        continue
-                    if _holds(a, b):
-                        found.append(TupleSpec(a, b))
-    return sorted(found)
+
+    def pairs():
+        table = {}
+        for b in _descending_tuples(s, sum_bound, sum_bound - r):
+            table.setdefault(sum(b) if balanced_only else 0, []).append(b)
+        for a in _descending_tuples(r, sum_bound, sum_bound):
+            bucket = table.get(sum(a) if balanced_only else 0, ())
+            for b in islice(bucket, bisect_left(bucket, (a[0],))):
+                ok = set(a).isdisjoint(b) and (not primitive_only or gcd(*a, *b) == 1)
+                if ok and _holds(a, b):
+                    yield TupleSpec(a, b)
+
+    return pairs()

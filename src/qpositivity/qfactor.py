@@ -30,13 +30,15 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cache
-from fractions import Fraction
 from itertools import accumulate
 from operator import sub
-from typing import Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .errors import NotDivisible, NotPolynomial
 from .polyring import IntPoly
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class _TuplePair(NamedTuple):
@@ -248,6 +250,8 @@ def classical_ratio(t: TupleSpec) -> Fraction:
     come back as honest fractions rather than errors; the result is an integer
     exactly when every prime valuation is >= 0.
     """
+    from fractions import Fraction
+
     num = 1
     den = 1
     for p in _primes_upto(t.max_entry):

@@ -178,7 +178,7 @@ def test_criterion_08_borwein_positivity(criterion):
 
 def test_criterion_09_positivity_experiment(criterion):
     with criterion(9, "positivity experiment to n=20", budget=600.0):
-        tuples = enumerate_tuples(1, 2, 16, balanced_only=True)
+        tuples = list(enumerate_tuples(1, 2, 16, balanced_only=True))
         tuples += enumerate_tuples(2, 3, 16, balanced_only=True)
         assert len(tuples) > 20  # a real family, not a degenerate handful
         for t in tuples:

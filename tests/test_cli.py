@@ -26,9 +26,10 @@ def run_raw(capsys, *argv):
 STALE = {"payload": {"stale": True}}
 
 # Modules `import qpositivity.cli` must not load: the record machinery of
-# dataclasses, the --out and --format csv modules, and the worker pool.
+# dataclasses, the --out and --format csv modules, the worker pool, and
+# fractions (with decimal), which only a Landau verdict or a q=1 ratio builds.
 LAZY = ("dataclasses", "inspect", "hashlib", "_hashlib", "csv", "tempfile",
-        "concurrent.futures.process", "multiprocessing")
+        "concurrent.futures.process", "multiprocessing", "fractions", "decimal")
 # The package's own source directory, so that a `python -S` child finds it.
 SRC_ENV = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
 
@@ -714,6 +715,29 @@ class TestStreaming:
         (early,) = seen
         names = [json.loads(line)["payload"]["identity"] for line in early.splitlines()]
         assert names == ["super-catalan-three-way"]
+
+    def test_enumerate_prints_each_pair_as_it_is_found(self, capsys, monkeypatch):
+        from qpositivity import landau
+
+        holds, emit = landau._holds, cli._emit
+        events = []
+
+        def decided(a, b):
+            events.append("decided")
+            return holds(a, b)
+
+        def emitted(rec, writer, no_timing):
+            events.append("emitted")
+            emit(rec, writer, no_timing)
+
+        monkeypatch.setattr(landau, "_holds", decided)
+        monkeypatch.setattr(cli, "_emit", emitted)
+        argv = ["enumerate", "--r", "2", "--s", "3", "--sum-bound", "12", "--balanced"]
+        assert cli.main(argv) == 0
+        out = capsys.readouterr().out
+        assert events.count("emitted") == len(out.splitlines()) > 1
+        last_decided = max(i for i, event in enumerate(events) if event == "decided")
+        assert events.index("emitted") < last_decided
 
     @pytest.mark.parametrize(
         "argv",

@@ -1,7 +1,7 @@
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import gcd
+from math import factorial, gcd, prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -208,7 +208,7 @@ def test_landau_invariant_under_canonicalization(t):
 
 class TestEnumerate:
     def test_small_balanced_family(self):
-        ts = enumerate_tuples(1, 2, 4, balanced_only=True)
+        ts = list(enumerate_tuples(1, 2, 4, balanced_only=True))
         assert ts == [
             TupleSpec((2,), (1, 1)),
             TupleSpec((3,), (2, 1)),
@@ -221,7 +221,7 @@ class TestEnumerate:
         assert TupleSpec((4,), (2, 2)) not in enumerate_tuples(1, 2, 4, balanced_only=True)
 
     def test_minimal_bound(self):
-        assert enumerate_tuples(1, 2, 2, balanced_only=True) == [TupleSpec((2,), (1, 1))]
+        assert list(enumerate_tuples(1, 2, 2, balanced_only=True)) == [TupleSpec((2,), (1, 1))]
 
     def test_all_outputs_are_canonical_and_pass(self):
         for t in enumerate_tuples(2, 3, 8, balanced_only=True):
@@ -237,7 +237,7 @@ class TestEnumerate:
         assert len(keys) == len(set(keys))
 
     def test_unbalanced_mode_allows_smaller_denominator_sums(self):
-        ts = enumerate_tuples(1, 1, 4, balanced_only=False)
+        ts = list(enumerate_tuples(1, 1, 4, balanced_only=False))
         assert TupleSpec((3,), (2,)) in ts  # [3n]!/[2n]! is always a polynomial
         assert all(t.sum_b <= t.sum_a for t in ts)
 
@@ -270,11 +270,12 @@ class TestEnumerate:
                     passing.add((a, b))
         for bound in range(2, top + 1):
             expected = sorted(p for p in passing if sum(p[0]) <= bound)
-            got = enumerate_tuples(r, s, bound, balanced, primitive)
+            got = list(enumerate_tuples(r, s, bound, balanced, primitive))
+            assert got == sorted(got)
             assert [(t.a, t.b) for t in got] == expected
 
     def test_enumerated_tuples_sweep_cleanly(self):
-        ts = enumerate_tuples(1, 2, 6, balanced_only=True)
+        ts = list(enumerate_tuples(1, 2, 6, balanced_only=True))
         ts += enumerate_tuples(2, 3, 6, balanced_only=True)
         for t in ts:
             try:
@@ -312,6 +313,30 @@ def _coprime_pairs(largest):
     return [(x, y) for x in range(1, largest + 1) for y in range(1, x + 1) if gcd(x, y) == 1]
 
 
+# Bober's sporadic ratios with |b| = |a| + 1, as (a, b), in enumeration order.
+SPORADIC_2_3 = (
+    ((9, 1), (5, 3, 2)), ((9, 2), (6, 4, 1)), ((9, 4), (8, 3, 2)), ((10, 6), (9, 5, 2)),
+    ((12, 1), (6, 4, 3)), ((12, 1), (8, 3, 2)), ((12, 2), (7, 4, 3)), ((12, 2), (9, 4, 1)),
+    ((12, 3), (6, 5, 4)), ((12, 3), (8, 6, 1)), ((12, 5), (10, 4, 3)), ((14, 1), (7, 5, 3)),
+    ((14, 3), (9, 7, 1)), ((15, 1), (8, 5, 3)), ((15, 1), (9, 5, 2)), ((15, 2), (10, 4, 3)),
+    ((15, 2), (10, 6, 1)), ((15, 4), (8, 6, 5)), ((15, 4), (12, 5, 2)), ((15, 7), (14, 5, 3)),
+    ((18, 1), (9, 6, 4)), ((18, 2), (9, 6, 5)), ((18, 4), (12, 9, 1)), ((20, 1), (10, 7, 4)),
+    ((20, 1), (10, 8, 3)), ((20, 3), (10, 9, 4)), ((20, 3), (12, 10, 1)), ((24, 1), (12, 8, 5)),
+    ((30, 1), (15, 10, 6)),
+)
+SPORADIC_3_4 = (
+    ((10, 6, 1), (7, 5, 3, 2)), ((12, 3, 2), (6, 6, 4, 1)), ((14, 6, 4), (12, 7, 3, 2)),
+    ((15, 6, 1), (12, 5, 3, 2)), ((18, 3, 2), (9, 7, 6, 1)), ((18, 4, 3), (9, 8, 6, 2)),
+    ((18, 5, 3), (10, 9, 6, 1)), ((20, 3, 2), (10, 8, 6, 1)), ((20, 6, 1), (12, 10, 3, 2)),
+    ((20, 7, 2), (14, 10, 4, 1)), ((20, 9, 6), (18, 10, 4, 3)), ((24, 4, 1), (12, 8, 7, 2)),
+    ((24, 4, 3), (12, 9, 8, 2)), ((24, 5, 2), (12, 10, 8, 1)), ((24, 7, 4), (14, 12, 8, 1)),
+    ((30, 3, 2), (15, 10, 6, 4)), ((30, 5, 3), (15, 10, 7, 6)), ((30, 5, 3), (15, 12, 10, 1)),
+    ((30, 5, 4), (15, 10, 8, 6)), ((30, 5, 4), (15, 12, 10, 2)), ((30, 9, 5), (18, 15, 10, 1)),
+)
+SPORADIC_4_5 = (((24, 9, 6, 4), (18, 12, 8, 3, 2)), ((30, 5, 3, 2), (15, 10, 8, 6, 1)))
+SPORADIC = SPORADIC_2_3 + SPORADIC_3_4 + SPORADIC_4_5
+
+
 class TestBoberCensus:
     """An oracle from outside the code: Bober's classification of integral
     factorial ratios (J. Bober, "Factorial ratios, hypergeometric series, and a
@@ -323,18 +348,22 @@ class TestBoberCensus:
     The families are generated here from their parameters (coprime x >= y for
     the binomial family; coprime x > y with x != 2y for A and B, which keeps
     the two sides disjoint) and must appear in the enumeration; what is left
-    over is the sporadic part.  Only the (2, 3) sporadic count is asserted: the
-    (3, 4) sporadic count found so far does not yet add up to Bober's total.
+    over is the sporadic part.
+
+    Bober counts 52 sporadic ratios in all.  The enumerations here find 29 with
+    (r, s) = (2, 3) to sum 40, 21 with (3, 4) to sum 48 and 2 with (4, 5) to
+    sum 44 (every (3, 4) and (4, 5) pair is sporadic), and 29 + 21 + 2 = 52, so
+    the census is closed: no larger sum bound can add one.
     """
 
     def test_one_by_two_is_the_binomial_family(self):
-        got = enumerate_tuples(1, 2, 30, balanced_only=True)
+        got = list(enumerate_tuples(1, 2, 30, balanced_only=True))
         assert {bober_family(t) for t in got} == {"binomial"}
         family = {TupleSpec((x + y,), (x, y)) for x, y in _coprime_pairs(29) if x + y <= 30}
         assert set(got) == family
 
     def test_two_by_three_census(self):
-        out = enumerate_tuples(2, 3, 40, balanced_only=True)
+        out = list(enumerate_tuples(2, 3, 40, balanced_only=True))
         assert len(set(out)) == len(out)
         got = set(out)
         census = Counter(bober_family(t) for t in got)
@@ -352,3 +381,32 @@ class TestBoberCensus:
         }
         sporadic = [t for t in got if bober_family(t) == "sporadic"]
         assert max(sporadic, key=lambda t: t.sum_a) == TupleSpec((30, 1), (15, 10, 6))
+        assert sorted(sporadic) == [TupleSpec(a, b) for a, b in SPORADIC_2_3]
+
+    def test_three_by_four_census(self):
+        got = enumerate_tuples(3, 4, 48, balanced_only=True)
+        assert [(t.a, t.b) for t in got] == list(SPORADIC_3_4)
+
+    def test_four_by_five_census(self):
+        got = enumerate_tuples(4, 5, 44, balanced_only=True)
+        assert [(t.a, t.b) for t in got] == list(SPORADIC_4_5)
+
+    def test_sporadic_total_is_bobers(self):
+        assert (len(SPORADIC_2_3), len(SPORADIC_3_4), len(SPORADIC_4_5)) == (29, 21, 2)
+        assert 29 + 21 + 2 == len(set(SPORADIC)) == 52
+
+    def test_pinned_ratios_are_integral_by_plain_factorials(self):
+        # math.factorial alone: no code of the package is involved
+        for a, b in SPORADIC:
+            assert len(b) == len(a) + 1 and sum(a) == sum(b)
+            assert not set(a) & set(b) and gcd(*a, *b) == 1
+            for n in range(1, 5):
+                num = prod(factorial(n * x) for x in a)
+                den = prod(factorial(n * x) for x in b)
+                assert num % den == 0, (a, b, n)
+
+    def test_no_negative_coefficient_on_the_sporadic_census(self):
+        # the paper's positivity conjecture on all 52; README records n <= 20
+        for a, b in SPORADIC:
+            for n, poly in enumerate(d_n_sweep(TupleSpec(a, b), 8), start=1):
+                assert min(poly.coeffs) >= 0, (a, b, n)
