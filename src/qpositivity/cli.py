@@ -17,15 +17,17 @@ Each record is printed and flushed as soon as it is made.  Its elapsed_ms is
 the time from the previous record (or the start of the command) to this one:
 under --jobs 1 the time spent making it, under a worker pool the wait a
 reader sees.  Output is deterministic; `--no-timing` drops the elapsed_ms
-field so two runs can be compared byte for byte.  `--out DIR` persists the
-run, once it completes, as one JSON file keyed by a hash of the command and
-its parameters, and a later identical invocation replays the stored records
-(with their stored elapsed_ms) instead of recomputing.  The key also holds
-the package version and the record schema, so a file written by another
-version is not replayed.  The file is written atomically; one that cannot be
-read back, whose stored key differs, or whose records lack the shape above is
-recomputed and overwritten.  The modules only --out and --format csv use
-(hashlib, tempfile, csv) are imported on demand, so other runs never load them.
+field so two runs can be compared byte for byte.  `--out DIR` writes each
+record, as it is printed, as a JSON line of a temp file in DIR, then a last
+line with the key (command, parameters, package version, record schema), and
+renames the file to a name hashed from the key.  A later identical invocation
+replays the file (stored elapsed_ms included) once it has checked that every
+line but the last is a record of the command's shape and the last is its key;
+any other file is recomputed and overwritten.  A run that stops early (usage
+error, exception, closed stdout, Ctrl-C) leaves no file; only an uncatchable
+kill can leave a `.tmp-*` one, which is never replayed.  The modules only
+--out and --format csv use (hashlib, tempfile, csv) are imported on demand, so
+other runs never load them.
 
 dpoly, sweep and enumerate --sweep-n refuse, as a usage error and before any
 other work (sweep's Landau verdict included), any D_n whose degree
@@ -67,7 +69,7 @@ MAX_IDENTITY_N = 16
 MAX_BORWEIN_N = 40
 MAX_RPOLY_SIZE = 4_000
 # Bumped whenever the record layout changes, so --out never replays an old shape.
-_CACHE_SCHEMA = 1
+_CACHE_SCHEMA = 2
 
 _STATUS_EXIT = {"ok": 0, "not-polynomial": 0, "negative-found": 2, "identity-violation": 3}
 
@@ -453,73 +455,57 @@ def _cache_key(args) -> dict:
 
 
 def _is_record(rec, command: str) -> bool:
-    return (
-        isinstance(rec, dict)
-        and rec.get("command") == command
-        and isinstance(rec.get("input"), dict)
-        and isinstance(rec.get("payload"), dict)
-        and rec.get("status") in _STATUS_EXIT
-    )
+    return (isinstance(rec, dict) and rec.get("command") == command
+            and rec.get("status") in _STATUS_EXIT
+            and isinstance(rec.get("input"), dict) and isinstance(rec.get("payload"), dict))
 
 
-def _load_records(path: str, key: dict) -> list[dict] | None:
-    """The records cached at path under key; None if missing, unreadable or malformed.
+def _stored_run(path: str, key: bytes, command: str) -> Iterator[dict | None]:
+    """None once the run stored at path is checked whole, then its records.
 
-    The stored command, params, schema and version must equal key's, and
-    every record must have the shape `_record` gives it.
+    Whole: every line is a record of command's shape (see `_record`) but the
+    last, which is key; else ValueError.  The check reads a line at a time, the
+    replay each line by one read(): readline's small reads leave a larger heap.
     """
-    try:
-        with open(path, encoding="utf-8") as handle:
-            blob = json.load(handle)
-        records = blob["records"]
-        if (
-            all(blob[name] == value for name, value in key.items())
-            and isinstance(records, list)
-            and all(_is_record(rec, key["command"]) for rec in records)
-        ):
-            return records
-    except (OSError, ValueError, LookupError, TypeError):
-        pass
-    return None
-
-
-def _store(path: str, blob: dict) -> None:
-    """Write blob as JSON through a temp file in path's directory, then os.replace it."""
-    import tempfile
-
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".tmp-", suffix=".json")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(blob, handle, sort_keys=True)
-            handle.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+    with open(path, "rb") as handle:
+        line, lengths = b"", []
+        for line in handle:
+            if line == key or not _is_record(json.loads(line), command):
+                break
+            lengths.append(len(line))
+        if line != key or next(handle, b""):
+            raise ValueError(f"{path} is not a whole {command} run")
+        yield None
+        handle.seek(0)
+        for length in lengths:
+            yield json.loads(handle.read(length).decode())
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    out_path = replayed = None
+    records = out_path = None
     if args.out:
         import hashlib
 
-        key = {
-            "command": args.command,
-            "params": _cache_key(args),
-            "schema": _CACHE_SCHEMA,
-            "version": __version__,
-        }
-        digest = hashlib.sha256(json.dumps(key, sort_keys=True).encode()).hexdigest()[:16]
+        key = json.dumps({"command": args.command, "params": _cache_key(args),
+                          "schema": _CACHE_SCHEMA, "version": __version__}, sort_keys=True) + "\n"
+        digest = hashlib.sha256(key.encode()).hexdigest()[:16]
         try:
             os.makedirs(args.out, exist_ok=True)
         except OSError as exc:
             msg = f"cannot use --out {args.out} as a directory: {exc.strerror}"
             print(f"qpos {args.command}: error: {msg}", file=sys.stderr)
             return 1
-        out_path = os.path.join(args.out, f"{args.command}-{digest}.json")
-        replayed = _load_records(out_path, key)
-    records = iter(replayed) if replayed is not None else _DISPATCH[args.command](args)
+        out_path = os.path.join(args.out, f"{args.command}-{digest}.jsonl")
+        stored = _stored_run(out_path, key.encode(), args.command)
+        try:
+            # The whole file is checked before any of it is printed, so a torn one prints nothing.
+            next(stored)
+            records, out_path = stored, None
+        except (OSError, ValueError):
+            pass
+    if records is None:
+        records = _DISPATCH[args.command](args)
     try:
         # Every usage check runs before a command's first record, so pull that first.
         started = time.perf_counter()
@@ -532,25 +518,38 @@ def main(argv=None) -> int:
         import csv
 
         writer = csv.DictWriter(sys.stdout, fieldnames=_CSV_FIELDS)
-    keep = out_path is not None and replayed is None
-    kept, worst = [], 0
+    worst, tmp = 0, None
     try:
+        if out_path is not None:
+            import tempfile
+
+            fd, tmp = tempfile.mkstemp(dir=args.out, prefix=".tmp-", suffix=".jsonl")
+            store = os.fdopen(fd, "w", encoding="utf-8")
         if writer is not None:
             writer.writeheader()
         for rec in itertools.chain(first, records):
             # A replayed record keeps the time stored with it.
             rec.setdefault("elapsed_ms", int((time.perf_counter() - started) * 1000))
             worst = max(worst, _STATUS_EXIT[rec["status"]])
-            if keep:
-                kept.append(rec)
+            if tmp is not None:
+                print(json.dumps(rec, sort_keys=True), file=store)
             _emit(rec, writer, args.no_timing)
+            del rec  # a --full record is large: free it before the next is made
             started = time.perf_counter()
+        if tmp is not None:
+            # The key goes last: it marks the file whole.
+            with store:
+                store.write(key)
+            os.replace(tmp, out_path)
+            tmp = None
     except BrokenPipeError:
         # The reader closed stdout: stop, and keep the exit-time flush from raising again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    if keep:
-        _store(out_path, dict(key, records=kept))
+    finally:
+        if tmp is not None:
+            store.close()
+            os.unlink(tmp)
     return worst
 
 

@@ -14,7 +14,7 @@ tuple entry, and f(x+1) = f(x) + (sum(a) - sum(b)).  So:
 
 ``landau_check`` scans every such point to report the minimum and the
 smallest witness.  ``enumerate_tuples`` needs only the yes/no, so it calls the
-decide-only ``_holds``, which visits the same points, largest d first, and
+decide-only ``_holds``, which visits the same points, d in the order of b, and
 returns at the first negative value: most candidates fail, after a few points.
 It generates the b-tuples once per call into a table, walks the a-tuples in
 lexicographic order against it, and yields each passing pair as soon as it is
@@ -107,16 +107,16 @@ def landau_check(t: TupleSpec) -> LandauVerdict:
 def _holds(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
     """landau_check(TupleSpec(a, b)).holds, stopping at the first negative value.
 
-    The points are those of ``landau_check``: d in descending order, so the
-    scan opens at 1/b_1, the first b-breakpoint, on the finest grid, with k
-    ascending.  The saving is the early return, not the order.  For the
-    33,067 balanced (2, 3) candidates of sum bound 48 that reach the scan, a
-    full scan evaluates 1,143,948 points and this one 242,442; ascending d
-    evaluates 220,580, in the same time within noise.
+    The points are those of ``landau_check``, each distinct d in b's order
+    (a descending b, as the enumerator's, opens at 1/b_1 on the finest grid),
+    k ascending.  The order never changes the verdict; the saving is the early
+    return.  For the 33,067 balanced (2, 3) candidates of sum bound 48 that
+    reach the scan, a full scan evaluates 1,143,948 points and this one
+    242,442; ascending d evaluates 220,580, in the same time within noise.
     """
     if sum(a) < sum(b):
         return False
-    for d in sorted(set(b), reverse=True):
+    for d in dict.fromkeys(b):
         for k in range(1, d):
             v = 0
             for x in a:

@@ -1,7 +1,11 @@
+import hashlib
+import itertools
 import json
 import os
+import signal
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -35,16 +39,77 @@ SRC_ENV = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
 
 
 def _edit_cache(records=None, **key):
-    """A corruption that updates the stored key, and each record with `records`."""
+    """A corruption that updates the stored key (the last line), and each record with `records`."""
 
     def corrupt(text):
-        blob = json.loads(text)
-        blob.update(key)
-        for rec in blob["records"]:
+        *recs, stored = map(json.loads, text.splitlines())
+        stored.update(key)
+        for rec in recs:
             rec.update(records or {})
-        return json.dumps(blob)
+        return "".join(json.dumps(obj, sort_keys=True) + "\n" for obj in (*recs, stored))
 
     return corrupt
+
+
+def _with_records(*lines):
+    """A corruption that replaces the stored records by lines, keeping the key line."""
+    return lambda text: "".join(line + "\n" for line in lines) + text.splitlines(True)[-1]
+
+
+def _stored(path):
+    """The records (without elapsed_ms) and the key stored at path."""
+    *recs, key = map(json.loads, path.read_text().splitlines())
+    for rec in recs:
+        del rec["elapsed_ms"]
+    return recs, key
+
+
+def _child_peak(*args):
+    """(exit code, peak RSS in KiB) of `python -m qpositivity *args`.
+
+    A launcher of its own reaps the child: Linux counts the address space a
+    child was spawned from in its ru_maxrss, and the test process may be large.
+    """
+    launcher = (
+        "import os, subprocess, sys\n"
+        "argv = [sys.executable, '-m', 'qpositivity', *sys.argv[1:]]\n"
+        "proc = subprocess.Popen(argv, stdout=subprocess.DEVNULL)\n"
+        "_, status, usage = os.wait4(proc.pid, 0)\n"
+        "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", launcher, *args], capture_output=True, text=True, timeout=120
+    )
+    code, maxrss_kib = map(int, proc.stdout.split())
+    return code, maxrss_kib
+
+
+def _stdout_digest(argv):
+    """sha256 of a successful child's stdout, read in chunks so a long run is never held whole."""
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE)
+    digest = hashlib.sha256()
+    for chunk in iter(lambda: proc.stdout.read(1 << 16), b""):
+        digest.update(chunk)
+    proc.stdout.close()
+    assert proc.wait(timeout=120) == 0
+    return digest.hexdigest()
+
+
+# A sweep whose --full records run to megabytes each (its n = 20 file is about 110 MB).
+BIG_SWEEP = ("sweep", "--a", "30,1", "--b", "15,10,6", "--full", "--jobs", "1")
+
+
+def _counting(monkeypatch, command):
+    """Count the runs of command that compute, not replay, their records."""
+    calls = []
+    compute = cli._DISPATCH[command]
+
+    def counted(parsed):
+        calls.append(parsed)
+        return compute(parsed)
+
+    monkeypatch.setitem(cli._DISPATCH, command, counted)
+    return calls
 
 
 class TestLandauCommand:
@@ -447,21 +512,7 @@ class TestBorweinAndRpoly:
         assert all(rec["payload"]["is_positive"] for rec in recs)
 
     def test_borwein_at_the_cap_stays_small(self):
-        # A launcher of its own reaps the child: Linux counts the address
-        # space a child was spawned from in its ru_maxrss, and the test
-        # process may be large.
-        launcher = (
-            "import os, subprocess, sys\n"
-            "argv = [sys.executable, '-m', 'qpositivity', 'borwein', '--n-max', '40']\n"
-            "proc = subprocess.Popen(argv, stdout=subprocess.DEVNULL)\n"
-            "_, status, usage = os.wait4(proc.pid, 0)\n"
-            "proc.returncode = os.waitstatus_to_exitcode(status)\n"
-            "print(proc.returncode, usage.ru_maxrss)\n"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", launcher], capture_output=True, text=True, timeout=60
-        )
-        code, maxrss_kib = map(int, proc.stdout.split())
+        code, maxrss_kib = _child_peak("borwein", "--n-max", "40")
         assert code == 0
         assert maxrss_kib < 48 * 1024
 
@@ -589,8 +640,8 @@ class TestDeterminismAndCaching:
             lambda text: text[: len(text) // 2],
             lambda text: "",
             lambda text: "[]",
-            lambda text: '{"records": [{"status": "bogus"}]}',
-            lambda text: '{"records": [{"status": "ok"}]}',
+            _with_records('{"status": "bogus"}'),
+            _with_records('{"status": "ok"}'),
             _edit_cache(records={"command": "sweep"}),
             _edit_cache(records={"input": None}),
             _edit_cache(records={"payload": []}),
@@ -621,19 +672,46 @@ class TestDeterminismAndCaching:
         cached = run_raw(capsys, *args, "--out", str(tmp_path))
         assert cached == fresh
         (path,) = tmp_path.iterdir()
+        whole = _stored(path)
         path.write_text(corrupt(path.read_text()))
         assert run_raw(capsys, *args, "--out", str(tmp_path)) == fresh
         assert list(tmp_path.iterdir()) == [path]
-        assert json.loads(path.read_text())["records"]
+        assert _stored(path) == whole
 
     def test_bare_record_is_recomputed_for_csv(self, capsys, tmp_path):
         args = ("dpoly", "--a", "6,1,1", "--b", "5,3", "--n", "1", "--format", "csv")
         fresh = run_raw(capsys, *args)
         assert run_raw(capsys, *args, "--out", str(tmp_path)) == fresh
         (path,) = tmp_path.iterdir()
-        path.write_text('{"records": [{"status": "ok"}]}')
+        path.write_text(_with_records('{"status": "ok"}')(path.read_text()))
         assert run_raw(capsys, *args, "--out", str(tmp_path)) == fresh
-        assert json.loads(path.read_text())["records"][0]["payload"]
+        assert _stored(path)[0][0]["payload"]
+
+    @pytest.mark.parametrize(
+        "cut", [0, 1, 2, 3, "mid-record", "mid-key", "key-without-newline"]
+    )
+    def test_proper_prefix_is_recomputed(self, capsys, tmp_path, monkeypatch, cut):
+        args = (
+            "sweep", "--a", "2", "--b", "1,1", "--n-max", "3",
+            "--no-timing", "--out", str(tmp_path),
+        )
+        fresh = run_raw(capsys, *args)
+        (path,) = tmp_path.iterdir()
+        whole, text = _stored(path), path.read_text()
+        lines = text.splitlines(True)
+        assert len(lines) == 4  # three records, then the key
+        if isinstance(cut, int):  # at a line boundary
+            prefix = "".join(lines[:cut])
+        else:
+            end = {"mid-record": len(lines[0]) // 2, "mid-key": len(text) - len(lines[-1]) // 2,
+                   "key-without-newline": len(text) - 1}[cut]
+            prefix = text[:end]
+        path.write_text(prefix)
+        calls = _counting(monkeypatch, "sweep")
+        assert run_raw(capsys, *args) == fresh
+        assert len(calls) == 1
+        assert list(tmp_path.iterdir()) == [path]
+        assert _stored(path) == whole
 
     @pytest.mark.parametrize(
         "name, value", [("__version__", "0.0.0-other"), ("_CACHE_SCHEMA", 0)]
@@ -647,15 +725,8 @@ class TestDeterminismAndCaching:
         )
         first = run_raw(capsys, *args)
         (old,) = tmp_path.iterdir()
-        calls = []
-        compute = cli._DISPATCH["sweep"]
-
-        def counted(parsed):
-            calls.append(parsed)
-            return compute(parsed)
-
         monkeypatch.setattr(cli, name, value)
-        monkeypatch.setitem(cli._DISPATCH, "sweep", counted)
+        calls = _counting(monkeypatch, "sweep")
         assert run_raw(capsys, *args) == first
         assert len(calls) == 1
         assert len(list(tmp_path.iterdir())) == 2
@@ -683,6 +754,38 @@ class TestDeterminismAndCaching:
         assert out == ""
         assert err.startswith("qpos landau: error: cannot use --out")
         assert (tmp_path / "taken").read_text() == "keep\n"
+
+
+    def test_out_keeps_no_copy_of_the_run(self, tmp_path):
+        argv = (*BIG_SWEEP, "--n-max", "16")
+        stored = (*argv, "--out", str(tmp_path))
+        code, bare = _child_peak(*argv)
+        assert code == 0
+        code, writing = _child_peak(*stored)
+        assert code == 0
+        assert writing < 1.3 * bare
+        (path,) = tmp_path.iterdir()
+        written = path.stat()
+        code, replaying = _child_peak(*stored)
+        assert code == 0
+        assert replaying < 1.3 * bare
+        # replayed: a recomputed run would os.replace the file with a new one
+        assert (path.stat().st_ino, path.stat().st_mtime_ns) == (
+            written.st_ino, written.st_mtime_ns)
+
+    def test_stopped_run_stores_nothing(self, capsys, tmp_path, monkeypatch):
+        out = ("--out", str(tmp_path))
+        assert cli.main(["enumerate", "--r", "2", "--s", "3", "--sum-bound", "65", *out]) == 1
+        compute = cli._DISPATCH["sweep"]
+
+        def failing(parsed):
+            yield from itertools.islice(compute(parsed), 1)
+            raise RuntimeError("failed after the first record")
+
+        monkeypatch.setitem(cli._DISPATCH, "sweep", failing)
+        with pytest.raises(RuntimeError):
+            cli.main(["sweep", "--a", "2", "--b", "1,1", "--n-max", "3", *out])
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestStreaming:
@@ -769,6 +872,42 @@ class TestStreaming:
         assert first["payload"]["n"] == 1
         assert "Traceback" not in err
         assert "Exception ignored" not in err
+        assert list(tmp_path.iterdir()) == []
+
+
+    def test_killed_run_is_recomputed(self, tmp_path):
+        argv = [sys.executable, "-m", "qpositivity", *BIG_SWEEP, "--n-max", "20", "--no-timing"]
+        stored = [*argv, "--out", str(tmp_path)]
+        proc = subprocess.Popen(stored, stdout=subprocess.PIPE)
+        first = json.loads(proc.stdout.readline())
+        proc.kill()
+        proc.wait(timeout=60)
+        proc.stdout.close()
+        assert first["payload"]["n"] == 1
+        # an uncatchable kill may leave a temp file, never a file at the final path
+        left = set(tmp_path.iterdir())
+        assert all(path.name.startswith(".tmp-") for path in left)
+        with ThreadPoolExecutor(2) as pool:
+            rerun, fresh = pool.map(_stdout_digest, [stored, argv])
+        assert rerun == fresh
+        (path,) = set(tmp_path.iterdir()) - left
+        written = path.stat()
+        # whole: the next run replays it instead of replacing it
+        assert _stdout_digest(stored) == fresh
+        assert (path.stat().st_ino, path.stat().st_mtime_ns) == (
+            written.st_ino, written.st_mtime_ns)
+        path.unlink()
+
+    def test_interrupted_run_stores_nothing(self, tmp_path):
+        argv = ("-m", "qpositivity", *BIG_SWEEP, "--n-max", "20", "--out", str(tmp_path))
+        proc = subprocess.Popen(
+            [sys.executable, *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE
+        )
+        assert json.loads(proc.stdout.readline())["payload"]["n"] == 1
+        proc.send_signal(signal.SIGINT)
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode != 0
+        assert b"KeyboardInterrupt" in err
         assert list(tmp_path.iterdir()) == []
 
 
