@@ -24,10 +24,10 @@ renames the file to a name hashed from the key.  A later identical invocation
 replays the file (stored elapsed_ms included) once it has checked that every
 line but the last is a record of the command's shape and the last is its key;
 any other file is recomputed and overwritten.  A run that stops early (usage
-error, exception, closed stdout, Ctrl-C) leaves no file; only an uncatchable
-kill can leave a `.tmp-*` one, which is never replayed.  The modules only
---out and --format csv use (hashlib, tempfile, csv) are imported on demand, so
-other runs never load them.
+error, exception, closed stdout, Ctrl-C) leaves no file; only a signal that
+ends the process outright (SIGKILL, SIGTERM) can leave a `.tmp-*` one, which
+is never replayed.  The modules only --out and --format csv use (hashlib,
+tempfile, csv) are imported on demand, so other runs never load them.
 
 dpoly, sweep and enumerate --sweep-n refuse, as a usage error and before any
 other work (sweep's Landau verdict included), any D_n whose degree

@@ -884,7 +884,7 @@ class TestStreaming:
         proc.wait(timeout=60)
         proc.stdout.close()
         assert first["payload"]["n"] == 1
-        # an uncatchable kill may leave a temp file, never a file at the final path
+        # a kill may leave a temp file, never a file at the final path
         left = set(tmp_path.iterdir())
         assert all(path.name.startswith(".tmp-") for path in left)
         with ThreadPoolExecutor(2) as pool:
