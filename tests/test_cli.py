@@ -755,7 +755,6 @@ class TestDeterminismAndCaching:
         assert err.startswith("qpos landau: error: cannot use --out")
         assert (tmp_path / "taken").read_text() == "keep\n"
 
-
     def test_out_keeps_no_copy_of_the_run(self, tmp_path):
         argv = (*BIG_SWEEP, "--n-max", "16")
         stored = (*argv, "--out", str(tmp_path))
@@ -873,7 +872,6 @@ class TestStreaming:
         assert "Traceback" not in err
         assert "Exception ignored" not in err
         assert list(tmp_path.iterdir()) == []
-
 
     def test_killed_run_is_recomputed(self, tmp_path):
         argv = [sys.executable, "-m", "qpositivity", *BIG_SWEEP, "--n-max", "20", "--no-timing"]
