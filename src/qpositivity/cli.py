@@ -45,6 +45,7 @@ import json
 import os
 import sys
 import time
+from functools import cache
 from typing import Iterator
 
 from . import __version__
@@ -302,6 +303,7 @@ def _cmd_sweep(args) -> Iterator[dict]:
     for row in _d_rows(spec, args.n_max, args.full):
         status = "ok" if row["is_positive"] else "negative-found"
         yield _record("sweep", dict(echo, n=row["n"]), status, row)
+        del row  # else the printed row stays alive while the next D_n is built
 
 
 def _tuple_sweep_record(task: tuple) -> dict:
@@ -344,6 +346,20 @@ def _cmd_enumerate(args) -> Iterator[dict]:
     yield from _map(_tuple_sweep_record, tasks, args.jobs)
 
 
+def _verdict(check, *case) -> bool:
+    """check(*case), an IdentityViolation counting as a failed case."""
+    try:
+        return check(*case)
+    except IdentityViolation:
+        return False
+
+
+def _once_per_pair(check):
+    """A check symmetric in (n, m), run once per unordered pair {n, m}."""
+    once = cache(lambda lo, hi: _verdict(check, lo, hi))
+    return lambda n, m: once(min(n, m), max(n, m))
+
+
 def _cmd_identities(args) -> Iterator[dict]:
     if args.max_n > MAX_IDENTITY_N:
         raise _UsageError(f"--max-n is capped at {MAX_IDENTITY_N}")
@@ -351,9 +367,11 @@ def _cmd_identities(args) -> Iterator[dict]:
     span = range(args.max_n + 1)
     # (name, case keys, cases, check): built on each call, so the checks are
     # whatever the module globals hold now, and the cases are generated lazily.
+    # The pair memos last this call.  They are exact: super_catalan_check demands
+    # direct(n, m) == direct(m, n), and both rows' other legs only swap factors.
     table = [
         ("super-catalan-three-way", ("n", "m"), itertools.product(span, span),
-         super_catalan_check),
+         _once_per_pair(super_catalan_check)),
         ("b-recurrence", ("n", "m"), ((n, m) for n in span for m in range(n + 1)),
          b_poly_check),
         ("chu-vandermonde", ("a", "b", "c"), itertools.product(span, span, span),
@@ -361,16 +379,12 @@ def _cmd_identities(args) -> Iterator[dict]:
         ("double-chu-vandermonde", ("n", "p"), itertools.product(span, span), e_main_check),
         ("q-binomial-theorem", ("n",), itertools.product(span), q_binomial_theorem_check),
         ("r-unit-shift", ("n", "m"), itertools.product(span, span),
-         lambda n, m: r_poly(n, m, 1, 1) == IntPoly.monomial(n * m)),
+         _once_per_pair(lambda n, m: r_poly(n, m, 1, 1) == IntPoly.monomial(n * m))),
     ]
     for name, keys, cases, check in table:
         failures, count = [], 0
         for count, case in enumerate(cases, start=1):
-            try:
-                ok = check(*case)
-            except IdentityViolation:
-                ok = False
-            if not ok:
+            if not _verdict(check, *case):
                 failures.append(dict(zip(keys, case)))
         status = "ok" if not failures else "identity-violation"
         payload = {"identity": name, "cases": count, "failures": failures}

@@ -139,15 +139,18 @@ def _binomial_image(n: int, m: int, w: int) -> int:
     By the q-Pascal recurrence [i, j] = [i-1, j-1] + q**j [i-1, j], with
     [i, 0] = [i, i] = 1: a miss fills, row by row and without recursion, the
     missing entries of the parallelogram 0 <= j <= m, 0 <= i - j <= n - m.
+    A hit is one lookup; the memo never holds an entry with m < 0 or m > n.
     """
-    if m < 0 or m > n:
-        return 0
+    try:
+        return _IMAGES[w][n, m]
+    except KeyError:
+        if m < 0 or m > n:
+            return 0
     memo = _IMAGES.setdefault(w, {})
-    if (n, m) not in memo:
-        for i in range(n + 1):
-            for j in range(max(0, i - n + m), min(i, m) + 1):
-                if (i, j) not in memo:
-                    memo[i, j] = memo[i - 1, j - 1] + (memo[i - 1, j] << w * j) if 0 < j < i else 1
+    for i in range(n + 1):
+        for j in range(max(0, i - n + m), min(i, m) + 1):
+            if (i, j) not in memo:
+                memo[i, j] = memo[i - 1, j - 1] + (memo[i - 1, j] << w * j) if 0 < j < i else 1
     return memo[n, m]
 
 

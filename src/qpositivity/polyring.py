@@ -187,23 +187,6 @@ class IntPoly:
             return f"IntPoly({list(self.coeffs)})"
         return f"<IntPoly degree={self.degree} min={min(self.coeffs)} max={max(self.coeffs)}>"
 
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            mag = abs(c)
-            term = "1" if i == 0 else ("q" if i == 1 else f"q^{i}")
-            if i > 0 and mag != 1:
-                term = f"{mag}*{term}"
-            elif i == 0:
-                term = str(mag)
-            parts.append(("- " if c < 0 else "+ ") + term)
-        text = " ".join(parts)
-        return text[2:] if text.startswith("+ ") else "-" + text[2:]
-
 
 _ZERO = IntPoly()
 _ONE = IntPoly((1,))

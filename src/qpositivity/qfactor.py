@@ -90,12 +90,11 @@ class TupleSpec(_TuplePair):
 class CycloExponents(NamedTuple):
     """Exponent of Phi_ell in a factorial ratio, for every ell with a nonzero one.
 
-    Indices ell run over 2..max_ell; anything above max_ell (the largest tuple
-    entry) is zero and is not stored, and neither are interior zeros.
+    Indices ell run over 2..the largest tuple entry; anything above it is zero
+    and is not stored, and neither are interior zeros.
     """
 
     exponents: dict[int, int]
-    max_ell: int
 
     def smallest_negative(self) -> int | None:
         neg = [ell for ell, e in self.exponents.items() if e < 0]
@@ -142,14 +141,13 @@ def q_binomial(n: int, m: int) -> IntPoly:
 
 def ratio_exponents(t: TupleSpec) -> CycloExponents:
     """Cyclotomic exponents of the ratio: e_ell = sum(a_i//ell) - sum(b_j//ell)."""
-    mx = t.max_entry
     exps: dict[int, int] = {}
     a, b = t.a, t.b
-    for ell in range(2, mx + 1):
+    for ell in range(2, t.max_entry + 1):
         e = sum(x // ell for x in a) - sum(x // ell for x in b)
         if e:
             exps[ell] = e
-    return CycloExponents(exps, mx)
+    return CycloExponents(exps)
 
 
 def _scaled_ratios(t: TupleSpec, n_max: int) -> Iterator[IntPoly]:

@@ -467,6 +467,22 @@ class TestIdentitiesCommand:
         assert double["payload"]["failures"] == [{"n": 0, "p": 1}]
         assert all(rec["status"] == "ok" for rec in by_name.values())
 
+    def test_symmetric_rows_check_each_pair_once(self, capsys, monkeypatch):
+        calls = {"super_catalan_check": [], "r_poly": []}
+        for name, seen in calls.items():
+            def counted(*args, real=getattr(cli, name), seen=seen):
+                seen.append(args[:2])
+                return real(*args)
+
+            monkeypatch.setattr(cli, name, counted)
+        code, recs = run_cli(capsys, "identities", "--max-n", "4")
+        assert code == 0
+        pairs = [(n, m) for n in range(5) for m in range(n, 5)]
+        assert calls == {"super_catalan_check": pairs, "r_poly": pairs}
+        by_name = {rec["payload"]["identity"]: rec["payload"] for rec in recs}
+        assert by_name["super-catalan-three-way"]["cases"] == 25
+        assert by_name["r-unit-shift"]["cases"] == 25
+
 
 class TestSizeCaps:
     @pytest.mark.parametrize(

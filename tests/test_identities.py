@@ -170,6 +170,22 @@ class TestRPoly:
             r_poly(1, 1, 0, 1)
 
 
+class TestSymmetry:
+    """`qpos identities` checks each unordered pair {n, m} of these rows once."""
+
+    def test_super_catalan_check(self):
+        for n in range(7):
+            for m in range(7):
+                assert super_catalan_check(n, m) == super_catalan_check(m, n), (n, m)
+
+    def test_r_poly_swaps_its_powers(self):
+        for n in range(7):
+            for m in range(7):
+                for r in (1, 2):
+                    for s in (1, 2):
+                        assert r_poly(n, m, r, s) == r_poly(m, n, s, r), (n, m, r, s)
+
+
 class TestBorwein:
     def test_trivial_cases(self):
         assert borwein_sum(0) == IntPoly.one()
@@ -354,6 +370,18 @@ class TestChecksCanFail:
         # the recurrence at --max-n 4 never reaches [4 over 1]
         assert failures["super-catalan-three-way"] == []
 
+    def test_cli_reports_what_each_order_computes(self, broken_image, capsys):
+        cli.main(["identities", "--max-n", "4", "--no-timing"])
+        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        failures = {rec["payload"]["identity"]: rec["payload"]["failures"] for rec in records}
+        super_catalan = [
+            {"n": n, "m": m}
+            for n in range(5)
+            for m in range(5)
+            if not cli._verdict(super_catalan_check, n, m)
+        ]
+        assert super_catalan and failures["super-catalan-three-way"] == super_catalan
+
     def test_r_route_sees_a_wrong_gaussian(self, monkeypatch, capsys):
         def wrong(n, m):
             return IntPoly([2, 1]) if (n, m) == (2, 1) else q_binomial(n, m)
@@ -367,3 +395,19 @@ class TestChecksCanFail:
         failures = {rec["payload"]["identity"]: rec["payload"]["failures"] for rec in records}
         assert {"n": 1, "m": 1} in failures.pop("r-unit-shift")
         assert not any(failures.values())
+
+    def test_r_row_reports_what_each_order_computes(self, monkeypatch, capsys):
+        def wrong(n, m):
+            return IntPoly([2, 1]) if (n, m) == (4, 3) else q_binomial(n, m)
+
+        monkeypatch.setattr(identities, "q_binomial", wrong)
+        cli.main(["identities", "--max-n", "4", "--no-timing"])
+        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        failures = {rec["payload"]["identity"]: rec["payload"]["failures"] for rec in records}
+        unit_shift = [
+            {"n": n, "m": m}
+            for n in range(5)
+            for m in range(5)
+            if not cli._verdict(lambda: r_poly(n, m, 1, 1) == IntPoly.monomial(n * m))
+        ]
+        assert unit_shift and failures["r-unit-shift"] == unit_shift
