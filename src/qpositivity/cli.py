@@ -24,15 +24,17 @@ renames the file to a name hashed from the key.  A later identical invocation
 replays the file (stored elapsed_ms included) once it has checked that every
 line but the last is a record of the command's shape and the last is its key;
 any other file is recomputed and overwritten.  A run that stops early (usage
-error, exception, closed stdout, Ctrl-C) leaves no file; only a signal that
-ends the process outright (SIGKILL, SIGTERM) can leave a `.tmp-*` one, which
-is never replayed.  The modules only --out and --format csv use (hashlib,
+error, exception, closed stdout, Ctrl-C, SIGTERM) leaves no file; under
+--out, SIGTERM exits with status 143 (128 + 15).  Only a signal that ends
+the process outright (SIGKILL) can leave a `.tmp-*` file, which is never
+replayed.  The modules only --out and --format csv use (hashlib, signal,
 tempfile, csv) are imported on demand, so other runs never load them.
 
 dpoly, sweep and enumerate --sweep-n refuse, as a usage error and before any
 other work (sweep's Landau verdict included), any D_n whose degree
 sum(C(n*a_i, 2)) - sum(C(n*b_j, 2)) or whose largest entry exceeds MAX_DEGREE,
-and landau refuses a tuple whose largest entry does; borwein refuses
+and landau refuses a tuple whose largest entry does; enumerate refuses a
+b-table above MAX_B_TUPLES, counted before any is made; borwein refuses
 --n-max above MAX_BORWEIN_N, and rpoly refuses r*n**2 + s*m**2 (a bound on the
 degree of its alternating sum) above MAX_RPOLY_SIZE.
 """
@@ -60,11 +62,12 @@ from .identities import (
     r_poly,
     super_catalan_check,
 )
-from .landau import canonicalize, enumerate_tuples, landau_check
+from .landau import b_table_size, canonicalize, enumerate_tuples, landau_check
 from .polyring import IntPoly
 from .qfactor import TupleSpec, _scaled_ratios, classical_ratio, d_polynomial
 
 MAX_SUM_BOUND = 64
+MAX_B_TUPLES = 250_000
 MAX_DEGREE = 250_000
 MAX_IDENTITY_N = 16
 MAX_BORWEIN_N = 40
@@ -327,6 +330,9 @@ def _cmd_enumerate(args) -> Iterator[dict]:
         raise _UsageError(f"--sum-bound is capped at {MAX_SUM_BOUND}")
     if args.sum_bound < 2:
         raise _UsageError("--sum-bound must be >= 2")
+    size = b_table_size(args.r, args.s, args.sum_bound)
+    if size > MAX_B_TUPLES:
+        raise _UsageError(f"the search holds {size} b-tuples, above the cap of {MAX_B_TUPLES}")
     echo = {
         "r": args.r,
         "s": args.s,
@@ -532,11 +538,16 @@ def main(argv=None) -> int:
         import csv
 
         writer = csv.DictWriter(sys.stdout, fieldnames=_CSV_FIELDS)
-    worst, tmp = 0, None
+    worst, tmp, old_term = 0, None, None
     try:
         if out_path is not None:
+            import signal
             import tempfile
 
+            try:  # SIGTERM's default action would skip the finally that unlinks tmp
+                old_term = signal.signal(signal.SIGTERM, lambda signum, _: sys.exit(128 + signum))
+            except ValueError:  # not the main thread, which alone may set handlers
+                pass
             fd, tmp = tempfile.mkstemp(dir=args.out, prefix=".tmp-", suffix=".jsonl")
             store = os.fdopen(fd, "w", encoding="utf-8")
         if writer is not None:
@@ -561,6 +572,8 @@ def main(argv=None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     finally:
+        if old_term is not None:
+            signal.signal(signal.SIGTERM, old_term)
         if tmp is not None:
             store.close()
             os.unlink(tmp)

@@ -5,15 +5,15 @@ routes (direct factorial ratio vs. recurrence vs. alternating sum) are what
 the test suite and the `identities` CLI command verify.  A mismatch means an
 implementation bug, never numerical noise.
 
-The sums and recurrences are computed in the Kronecker image (all but
-`r_poly`, which stays over IntPoly as a second route, with Gaussians from
-the factorial ratio `q_binomial`, not the image's q-Pascal fill): a polynomial
-P stands for the one integer P(2**W), so products are int products,
+The sums and recurrences are computed in the Kronecker image: a polynomial P
+stands for the one integer P(2**W), so products are int products,
 multiplying by q**k is a shift by W*k bits and sums are int sums.  P -> P(2**W)
 is a ring map, so each computed image is the image of the polynomial the
 code denotes.  The checks compare images with `==` and never decode them;
 functions that return an IntPoly read its coefficients back as the signed
-W-bit digits of the image.
+W-bit digits of the image.  `r_poly`'s von Szily sum stays a second route:
+its Gaussians come from the factorial ratio `q_binomial`, not the q-Pascal
+fill, and it ends in an exact IntPoly division by the factorial-ratio A.
 
 Equal images mean equal polynomials once W is wide enough: if every
 coefficient of P and of Q is below 2**(W-1) in absolute value, the lowest
@@ -31,7 +31,8 @@ derives W from coefficient bounds that never use the image:
 
 W is rounded up to a multiple of 64, so one image q-Pascal memo serves a
 whole run: the largest bound `qpos identities --max-n 16` meets is
-Sum_k C(32, 16+k)**2 = C(64, 32) < 2**61, so W = 64 throughout.
+Sum_k C(32, 16+k)**2 = C(64, 32) < 2**61, so W = 64 throughout.  `r_poly`
+shares no memo, so its widths are only rounded up to whole bytes.
 
 Alternating sums written over k in (-inf, inf) are clamped to the finite
 window where the Gaussian factors are nonzero.  binom(k, 2) for negative k
@@ -154,9 +155,17 @@ def _binomial_image(n: int, m: int, w: int) -> int:
     return memo[n, m]
 
 
-def _width(*bounds: int) -> int:
-    """The least multiple of 64 with 2**(W-1) above every bound."""
-    return (max(bounds).bit_length() // 64 + 1) * 64
+def _width(*bounds: int, unit: int = 64) -> int:
+    """The least multiple of unit with 2**(W-1) above every bound."""
+    return (max(bounds).bit_length() // unit + 1) * unit
+
+
+def _respaced(x: int, w: int, wide: int, count: int) -> int:
+    """x, the image at q = 2**w of count coefficients in [0, 2**w), at q = 2**wide."""
+    digits, out = x.to_bytes(count * w // 8, "little"), bytearray(count * wide // 8)
+    for i in range(w // 8):
+        out[i :: wide // 8] = digits[i :: w // 8]
+    return int.from_bytes(out, "little")
 
 
 def _max_abs(p: IntPoly) -> int:
@@ -223,22 +232,21 @@ def _a_recur(lo: int, hi: int, w: int) -> int:
     )
 
 
-def _szily_sum(n: int, m: int, r: int, s: int, binom, shift):
-    """sum_k (-1)^k q^{binom(k,2)} [2n over n+k]^r [2m over m+k]^s.
+def _szily_sum(n: int, m: int, w: int, term) -> int:
+    """sum_k (-1)^k q^{binom(k,2)} [2n over n+k]^r [2m over m+k]^s at q = 2**w.
 
-    binom(a, b) is the Gaussian polynomial and shift(x, e) multiplies x by
-    q**e, both in one representation: the image at q = 2**W for von Szily,
-    IntPoly for `r_poly`.
+    term(k) is the image at q = 2**w of the k-th product of Gaussians,
+    [2n over n+k]^r [2m over m+k]^s, for 0 <= k <= min(n, m).
 
     The k and -k terms are summed as one: [N over M] = [N over N-M] gives
     them the same product p of Gaussians, (-1)^(-k) = (-1)^k the same sign,
     and binom(-k, 2) = binom(k, 2) + k, so together they are
     (-1)^k q^{binom(k,2)} (p + q^k p), exactly.  Each |k| costs one product.
     """
-    total = binom(2 * n, n) ** r * binom(2 * m, m) ** s
+    total = term(0)
     for k in range(1, min(n, m) + 1):
-        p = binom(2 * n, n + k) ** r * binom(2 * m, m + k) ** s
-        pair = shift(p + shift(p, k), k * (k - 1) // 2)
+        p = term(k)
+        pair = (p + (p << w * k)) << w * (k * (k - 1) // 2)
         total = total - pair if k % 2 else total + pair
     return total
 
@@ -259,7 +267,7 @@ def _von_szily_image(n: int, m: int, w: int) -> int:
     vanish (the argument of the module docstring, against Q = 0).
     """
     total = _szily_sum(
-        n, m, 1, 1, lambda a, b: _binomial_image(a, b, w), lambda x, e: x << w * e
+        n, m, w, lambda k: _binomial_image(2 * n, n + k, w) * _binomial_image(2 * m, m + k, w)
     )
     shift = w * n * m
     if shift and (not total or total & ((1 << shift) - 1)):
@@ -361,12 +369,14 @@ def chu_vandermonde_check(a: int, b: int, c: int) -> bool:
     """[a+b over c] = sum_k q^{k(b-c+k)} [a over k] [b over c-k].
 
     k is clamped to [max(0, c-b), min(a, c)], where both factors are nonzero;
-    there the exponent k(b-c+k) is never negative.
+    there the exponent k(b-c+k) is never negative.  Both sides take the value
+    C(a+b, c) at q = 1, the right one by the classical Vandermonde identity,
+    so that one number bounds the coefficients of both.
     """
     if a < 0 or b < 0 or c < 0:
         raise ValueError("indices must be non-negative")
     ks = range(max(0, c - b), min(a, c) + 1)
-    w = _width(comb(a + b, c), sum(comb(a, k) * comb(b, c - k) for k in ks))
+    w = _width(comb(a + b, c))
     rhs = sum(
         (_binomial_image(a, k, w) * _binomial_image(b, c - k, w)) << w * k * (b - c + k)
         for k in ks
@@ -379,17 +389,12 @@ def e_main_check(n: int, p: int) -> bool:
 
     Checks both displayed equalities: the single sum over j and its further
     expansion where [n+p over p-j] is split by a second Chu-Vandermonde.
+    All three sides take the value C(2n+2p, p) at q = 1, by the classical
+    Vandermonde identity (twice for the double sum), so that one number
+    bounds the coefficients of each.
     """
     _check_nm(n, p)
-    w = _width(
-        comb(2 * n + 2 * p, p),
-        sum(comb(n + p, j) * comb(n + p, p - j) for j in range(p + 1)),
-        sum(
-            comb(n + p, j) * comb(j, k) * comb(n + p - j, p - j - k)
-            for j in range(p + 1)
-            for k in range(min(j, p - j) + 1)
-        ),
-    )
+    w = _width(comb(2 * n + 2 * p, p))
     single = double = 0
     for j in range(p + 1):
         outer = _binomial_image(n + p, j, w)
@@ -442,16 +447,25 @@ def r_poly(n: int, m: int, r: int, s: int) -> IntPoly:
 
     exactly divided by A_{n,m}(q).  R_{n,m;1,1} = q^{nm}.
 
-    The sum is taken over IntPoly, not in the image: at r = s = 1 it is the
-    von Szily sum, so this is a second route to it, separate from the
-    image route of `super_catalan_check`.
+    The sum is taken in the image at the byte width W of `_szily_bound` and
+    decoded once.  Powers are taken over IntPoly, where widths are tight.
+    Their coefficients are non-negative, so each of a product a*b is at most
+    max(a) times b's value at q = 1: the product is taken at that byte width
+    and re-spaced to W, as the tail terms need far fewer bits than W.
     """
     _check_nm(n, m)
     if r < 1 or s < 1:
         raise ValueError("powers r, s must be positive")
-    total = _szily_sum(n, m, r, s, q_binomial, IntPoly.shifted)
+    w = _width(_szily_bound(n, m, r, s), unit=8)
+
+    def term(k):
+        a, b = q_binomial(2 * n, n + k) ** r, q_binomial(2 * m, m + k) ** s
+        own = _width(max(a.coeffs) * comb(2 * m, m + k) ** s, unit=8)
+        x = to_image(a.coeffs, own) * to_image(b.coeffs, own)
+        return _respaced(x, own, w, len(a) + len(b) - 1)
+
     try:
-        return total.divide_exact(super_catalan_q_direct(n, m))
+        return _decode(_szily_sum(n, m, w, term), w).divide_exact(super_catalan_q_direct(n, m))
     except NotDivisible as exc:
         raise IdentityViolation(
             f"powered von Szily sum for (n, m, r, s) = ({n}, {m}, {r}, {s}) "

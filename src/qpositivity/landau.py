@@ -167,6 +167,25 @@ def _descending_tuples(size: int, bound: int, cap: int):
             yield (first, *rest)
 
 
+def b_table_size(r: int, s: int, sum_bound: int) -> int:
+    """The number of b-tuples ``enumerate_tuples(r, s, sum_bound, ...)`` tables.
+
+    Less 1 in each entry they are the partitions of at most sum_bound - s into
+    at most s parts below sum_bound - r, counted by the series of
+    [sum_bound - r - 1 + s over s]_q, built factor by factor to that degree.
+    """
+    top, biggest = sum_bound - s, sum_bound - r - 1
+    if top < 0 or biggest < 0:
+        return 0
+    series = [1] + [0] * top
+    for i in range(1, s + 1):
+        for d in range(i, top + 1):
+            series[d] += series[d - i]
+        for d in range(top, biggest + i - 1, -1):
+            series[d] -= series[d - biggest - i]
+    return sum(series)
+
+
 def enumerate_tuples(
     r: int,
     s: int,

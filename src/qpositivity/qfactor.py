@@ -30,8 +30,8 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cache
-from itertools import accumulate
-from operator import sub
+from itertools import accumulate, repeat
+from operator import add, floordiv, sub
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .errors import NotDivisible, NotPolynomial
@@ -141,13 +141,12 @@ def q_binomial(n: int, m: int) -> IntPoly:
 
 def ratio_exponents(t: TupleSpec) -> CycloExponents:
     """Cyclotomic exponents of the ratio: e_ell = sum(a_i//ell) - sum(b_j//ell)."""
-    exps: dict[int, int] = {}
-    a, b = t.a, t.b
-    for ell in range(2, t.max_entry + 1):
-        e = sum(x // ell for x in a) - sum(x // ell for x in b)
-        if e:
-            exps[ell] = e
-    return CycloExponents(exps)
+    ells = range(2, t.max_entry + 1)
+    exps = repeat(0)
+    for xs, op in ((t.a, add), (t.b, sub)):
+        for x in xs:
+            exps = map(op, exps, map(floordiv, repeat(x), ells))
+    return CycloExponents({ell: e for ell, e in zip(ells, exps) if e})
 
 
 def _scaled_ratios(t: TupleSpec, n_max: int) -> Iterator[IntPoly]:

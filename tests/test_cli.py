@@ -5,6 +5,7 @@ import os
 import signal
 import subprocess
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -32,7 +33,7 @@ STALE = {"payload": {"stale": True}}
 # Modules `import qpositivity.cli` must not load: the record machinery of
 # dataclasses, the --out and --format csv modules, the worker pool, and
 # fractions (with decimal), which only a Landau verdict or a q=1 ratio builds.
-LAZY = ("dataclasses", "inspect", "hashlib", "_hashlib", "csv", "tempfile",
+LAZY = ("dataclasses", "inspect", "hashlib", "_hashlib", "csv", "tempfile", "signal",
         "concurrent.futures.process", "multiprocessing", "fractions", "decimal")
 # The package's own source directory, so that a `python -S` child finds it.
 SRC_ENV = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
@@ -519,6 +520,29 @@ class TestSizeCaps:
         assert cli.main(["rpoly", "--n", "20", "--m", "1", "--r", "10", "--s", "1"]) == 1
         capsys.readouterr()
 
+    def test_b_table_cap_is_inclusive(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "enumerate_tuples", lambda *args, **kwargs: iter(()))
+        argv = ["enumerate", "--r", "5", "--s", "6", "--sum-bound", "64"]
+        assert cli.main(argv) == 0  # 203,177 b-tuples, under the cap
+        monkeypatch.setattr(cli, "MAX_B_TUPLES", 203_177)
+        assert cli.main(argv) == 0
+        monkeypatch.setattr(cli, "MAX_B_TUPLES", 203_176)
+        assert cli.main(argv) == 1
+        assert "203177 b-tuples, above the cap of 203176" in capsys.readouterr().err
+
+    def test_oversized_b_table_refused_before_it_is_built(self, capsys, monkeypatch):
+        # unrefused, it tables 951,529 b-tuples (about 154 MiB, 4 s) before its first pair
+        def build(*args, **kwargs):
+            raise AssertionError("the b-table was built")
+
+        monkeypatch.setattr(cli, "enumerate_tuples", build)
+        started = time.process_time()
+        assert cli.main(["enumerate", "--r", "11", "--s", "12", "--sum-bound", "64"]) == 1
+        assert time.process_time() - started < 0.1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"951529 b-tuples, above the cap of {cli.MAX_B_TUPLES}" in err
+
 
 class TestBorweinAndRpoly:
     def test_borwein(self, capsys):
@@ -922,6 +946,17 @@ class TestStreaming:
         _, err = proc.communicate(timeout=60)
         assert proc.returncode != 0
         assert b"KeyboardInterrupt" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_terminated_run_stores_nothing(self, tmp_path):
+        argv = ("-m", "qpositivity", *BIG_SWEEP, "--n-max", "20", "--out", str(tmp_path))
+        proc = subprocess.Popen(
+            [sys.executable, *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE
+        )
+        assert json.loads(proc.stdout.readline())["payload"]["n"] == 1
+        proc.send_signal(signal.SIGTERM)
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 128 + signal.SIGTERM, err
         assert list(tmp_path.iterdir()) == []
 
 

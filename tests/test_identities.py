@@ -140,6 +140,27 @@ class TestSummationChecks:
     def test_chu_vandermonde_out_of_range_c(self):
         assert chu_vandermonde_check(2, 2, 5)  # both sides vanish
 
+    def test_widths_from_the_closed_form_equal_the_summed_ones(self):
+        # the summed bounds the checks once used, against the one C(., .) they use now
+        span = range(17)
+        for a in span:
+            for b in span:
+                for c in span:
+                    ks = range(max(0, c - b), min(a, c) + 1)
+                    summed = sum(comb(a, k) * comb(b, c - k) for k in ks)
+                    old = identities._width(comb(a + b, c), summed)
+                    assert old == identities._width(comb(a + b, c)), (a, b, c)
+        for n in span:
+            for p in span:
+                single = sum(comb(n + p, j) * comb(n + p, p - j) for j in range(p + 1))
+                double = sum(
+                    comb(n + p, j) * comb(j, k) * comb(n + p - j, p - j - k)
+                    for j in range(p + 1)
+                    for k in range(min(j, p - j) + 1)
+                )
+                old = identities._width(comb(2 * n + 2 * p, p), single, double)
+                assert old == identities._width(comb(2 * n + 2 * p, p)), (n, p)
+
     def test_e_main_small(self):
         assert all(e_main_check(n, p) for n in range(6) for p in range(6))
 
@@ -168,6 +189,39 @@ class TestRPoly:
     def test_rejects_non_positive_powers(self):
         with pytest.raises(ValueError):
             r_poly(1, 1, 0, 1)
+
+
+class TestRRoute:
+    """`r_poly` sums in the image; the term-by-term IntPoly sum is its oracle."""
+
+    def test_times_a_is_the_term_by_term_sum(self):
+        for n in range(10):
+            for m in range(10):
+                a = super_catalan_q_direct(n, m)
+                for r in (1, 2, 3):
+                    for s in (1, 2, 3):
+                        expected = reference_szily_sum(n, m, r, s, q_binomial, IntPoly.shifted)
+                        assert r_poly(n, m, r, s) * a == expected, (n, m, r, s)
+
+    def test_byte_widths_keep_the_bound_below_half_a_digit(self):
+        for bound in (0, 1, 127, 128, 255, 256, 2**15 - 1, 2**15, 2**16 - 1, 2**16):
+            w = identities._width(bound, unit=8)
+            assert w % 8 == 0 and bound < 2 ** (w - 1), bound
+            assert w == 8 or 2 ** (w - 9) <= bound, bound  # the least such width
+
+    @pytest.mark.parametrize("case", [(2, 3, 1, 1), (3, 4, 3, 3)])
+    def test_bound_of_whole_bytes_gets_one_more_byte(self, case):
+        # bounds 252 and 3,938,892,288: 8 and 32 bits, the edge of the width rule
+        bound = identities._szily_bound(*case)
+        assert bound.bit_length() % 8 == 0
+        assert identities._width(bound, unit=8) == bound.bit_length() + 8
+        expected = reference_szily_sum(*case, q_binomial, IntPoly.shifted)
+        assert r_poly(*case) * super_catalan_q_direct(*case[:2]) == expected
+
+    @given(st.lists(st.integers(0, 127), max_size=20), st.sampled_from([8, 16, 24, 72]))
+    def test_respaced_is_the_image_at_the_wider_width(self, cs, wide):
+        x = to_image(tuple(cs), 8)
+        assert identities._respaced(x, 8, wide, len(cs)) == to_image(tuple(cs), wide)
 
 
 class TestSymmetry:
@@ -212,12 +266,16 @@ class TestFoldedSums:
         monkeypatch.setattr(identities, "_IMAGES", {})
         for n in range(10):
             for m in range(10):
-                args = (n, m, r, s, q_binomial, IntPoly.shifted)
-                assert identities._szily_sum(*args) == reference_szily_sum(*args), (n, m)
                 w = identities._width(identities._szily_bound(n, m, r, s))
-                image = (lambda a, b: identities._binomial_image(a, b, w), lambda x, e: x << w * e)
-                args = (n, m, r, s, *image)
-                assert identities._szily_sum(*args) == reference_szily_sum(*args), (n, m, w)
+                for binom in (
+                    lambda a, b: identities._binomial_image(a, b, w),
+                    lambda a, b: to_image(q_binomial(a, b).coeffs, w),
+                ):
+                    expected = reference_szily_sum(n, m, r, s, binom, lambda x, e: x << w * e)
+                    got = identities._szily_sum(
+                        n, m, w, lambda k: binom(2 * n, n + k) ** r * binom(2 * m, m + k) ** s
+                    )
+                    assert got == expected, (n, m, w)
 
     def test_borwein_matches_the_term_by_term_sum(self):
         for n in range(31):

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from qpositivity.errors import Degenerate, NotPolynomial
 from qpositivity.landau import (
     LandauVerdict,
+    _descending_tuples,
     _holds,
+    b_table_size,
     canonicalize,
     enumerate_tuples,
     floor_sum,
@@ -210,6 +212,17 @@ def test_landau_invariant_under_canonicalization(t):
 
 
 class TestEnumerate:
+    def test_b_table_size_counts_the_table(self):
+        for r in range(1, 6):
+            for s in range(1, 7):
+                for bound in range(2, 26):
+                    table = _descending_tuples(s, bound, bound - r)
+                    assert b_table_size(r, s, bound) == sum(1 for _ in table), (r, s, bound)
+        # enumerate-landau's search, the (4,5) and (5,6) censuses, and one far past them
+        sizes = [b_table_size(*case) for case in ((2, 3, 30), (4, 5, 64), (5, 6, 64))]
+        assert sizes == [785, 92_785, 203_177]
+        assert b_table_size(11, 12, 64) == 951_529
+
     def test_small_balanced_family(self):
         ts = list(enumerate_tuples(1, 2, 4, balanced_only=True))
         assert ts == [
