@@ -64,7 +64,7 @@ from .identities import (
 )
 from .landau import b_table_size, canonicalize, enumerate_tuples, landau_check
 from .polyring import IntPoly
-from .qfactor import TupleSpec, _scaled_ratios, classical_ratio, d_polynomial
+from .qfactor import TupleSpec, classical_ratio, d_polynomial, scaled_ratios
 
 MAX_SUM_BOUND = 64
 MAX_B_TUPLES = 250_000
@@ -162,18 +162,24 @@ def _build_parser() -> _Parser:
 
 
 def _poly_stats(poly: IntPoly, full: bool) -> dict:
+    cs = poly.coeffs
     report = positivity_report(poly)
     stats = {
         "degree": report.degree,
-        "num_terms": sum(1 for c in poly.coeffs if c),
-        "min_coeff": str(min(poly.coeffs, default=0)),
+        "num_terms": len(cs) - cs.count(0),
+        "min_coeff": str(min(cs, default=0)),
         "is_positive": report.is_positive,
         "is_symmetric": report.is_symmetric,
         "is_unimodal": report.is_unimodal,
         "negative_positions": list(report.negative_positions),
     }
     if full:
-        stats["coefficients"] = [str(c) for c in poly.coeffs]
+        if report.is_symmetric:
+            # the high half mirrors the low half, so each string is made once and shared
+            low = [str(c) for c in cs[: (len(cs) + 1) // 2]]
+            stats["coefficients"] = low + low[: len(cs) // 2][::-1]
+        else:
+            stats["coefficients"] = [str(c) for c in cs]
     return stats
 
 
@@ -285,7 +291,7 @@ def _map(fn, tasks: list, jobs: int) -> Iterator:
 
 def _d_rows(spec: TupleSpec, n_max: int, full: bool):
     """Stats rows of D_n of spec for n = 1..n_max, each D_n dropped once its row is made."""
-    for n, poly in enumerate(_scaled_ratios(spec, n_max), start=1):
+    for n, poly in enumerate(scaled_ratios(spec, n_max), start=1):
         yield dict(n=n, **_poly_stats(poly, full))
 
 

@@ -16,8 +16,9 @@ class NotPolynomial(QPositivityError):
 
     `ell` is the index of a cyclotomic factor with negative exponent when the
     failure was detected by the cyclotomic exponent check (None on the
-    naive-division route); `n` is the scale at which a sweep failed, when
-    applicable.
+    naive-division route); `n` is the scale at which `qfactor.scaled_ratios`
+    found the failure, counted from the tuple it was given (so always 1 from
+    `d_polynomial`), and None on the naive-division route.
     """
 
     def __init__(self, message: str, ell: int | None = None, n: int | None = None):

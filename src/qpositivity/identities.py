@@ -94,7 +94,8 @@ class PositivityReport(NamedTuple):
 
 def positivity_report(p: IntPoly) -> PositivityReport:
     cs = p.coeffs
-    negatives = tuple(i for i, c in enumerate(cs) if c < 0)
+    # min is one C-level pass; the positions are looked for only when there are some
+    negatives = tuple(i for i, c in enumerate(cs) if c < 0) if min(cs, default=0) < 0 else ()
     falling = False
     unimodal = True
     for prev, cur in zip(cs, cs[1:]):

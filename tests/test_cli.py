@@ -158,6 +158,9 @@ class TestDpolyCommand:
         assert code == 0
         assert recs[0]["status"] == "not-polynomial"
         assert recs[0]["payload"]["smallest_failing_ell"] == 2
+        assert recs[0]["payload"]["reason"] == (
+            "ratio (1, 1)/(2,) is not a polynomial: exponent of Phi_2 is -1"
+        )
 
     def test_negative_coefficient_exits_2(self, capsys):
         code, recs = run_cli(capsys, "dpoly", "--a", "6,1,1", "--b", "5,3", "--n", "1")
@@ -165,6 +168,20 @@ class TestDpolyCommand:
         assert recs[0]["status"] == "negative-found"
         assert recs[0]["payload"]["coefficients"] == ["1", "-1", "1"]
         assert recs[0]["payload"]["negative_positions"] == [1]
+
+
+class TestPolyStats:
+    @pytest.mark.parametrize(
+        "coeffs",
+        [[1, 3, 6, 3, 1], [2, 10**30, 10**30, 2], [1, 2], [], [7]],
+        ids=["odd palindrome", "even palindrome", "not a palindrome", "zero", "constant"],
+    )
+    def test_coefficients_are_the_decimal_strings(self, coeffs):
+        stats = cli._poly_stats(IntPoly(coeffs), full=True)
+        assert stats["coefficients"] == [str(c) for c in coeffs]
+
+    def test_num_terms_skips_interior_zeros(self):
+        assert cli._poly_stats(IntPoly([1, 0, 0, 1]), full=False)["num_terms"] == 2
 
 
 class TestSweepCommand:
@@ -829,7 +846,7 @@ class TestDeterminismAndCaching:
 
 class TestStreaming:
     def test_sweep_prints_each_record_as_it_is_made(self, capsys, monkeypatch):
-        chain = cli._scaled_ratios
+        chain = cli.scaled_ratios
         seen = []
 
         def checked(spec, n_max):
@@ -838,7 +855,7 @@ class TestStreaming:
                     seen.append(capsys.readouterr().out)
                 yield poly
 
-        monkeypatch.setattr(cli, "_scaled_ratios", checked)
+        monkeypatch.setattr(cli, "scaled_ratios", checked)
         assert cli.main(["sweep", "--a", "2", "--b", "1,1", "--n-max", "3"]) == 0
         (early,) = seen
         assert [json.loads(line)["payload"]["n"] for line in early.splitlines()] == [1]

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qpositivity import identities, landau
+from qpositivity import identities, landau, qfactor
 from qpositivity.errors import NotPolynomial
 from qpositivity.polyring import IntPoly, cyclotomic, to_image
 from qpositivity.qfactor import (
@@ -21,6 +21,7 @@ from qpositivity.qfactor import (
     q_factorial,
     q_integer,
     ratio_exponents,
+    scaled_ratios,
 )
 
 entry = st.integers(1, 10)
@@ -351,3 +352,61 @@ class TestSweep:
         with pytest.raises(NotPolynomial) as info:
             d_n_sweep(t, 4)
         assert info.value.n == 2
+
+    def test_the_kernel_tags_its_failure_with_the_n(self):
+        t = TupleSpec((6, 1, 1), (5, 3))
+        chain = scaled_ratios(t, 4)
+        assert next(chain) == IntPoly([1, -1, 1])
+        with pytest.raises(NotPolynomial) as info:
+            next(chain)
+        assert (info.value.n, info.value.ell) == (2, 3)
+        # the message is d_polynomial's own; d_n_sweep alone prefixes the n
+        with pytest.raises(NotPolynomial) as direct:
+            d_polynomial(t.scaled(2))
+        assert str(info.value) == str(direct.value)
+        assert str(info.value) == "ratio (12, 2, 2)/(10, 6) is not a polynomial: exponent of Phi_3 is -1"
+        with pytest.raises(NotPolynomial, match=r"^at n=2: ratio \(12, 2, 2\)"):
+            d_n_sweep(t, 4)
+
+
+# Tuples whose chain steps, at n <= 3, reach each grouping of the passes.
+CHAIN_PATHS = {
+    # (1 - q^2)/(1 - q) = 1 + q at n = 1, twice; sum(a) > sum(b), so the (1 - q) power is negative
+    "pair at k=1, unbalanced": TupleSpec((3, 2), (1,)),
+    # unbalanced, pairing k = 2 and 3 at n = 2 and 3
+    "unbalanced": TupleSpec((2, 2), (1,)),
+    # k = 2 at n = 1, then k = 4, 5, 6 and 7, 8, 9, beside stride divisions
+    "pairs at n >= 2": TupleSpec((6, 1), (3, 2, 2)),
+    # blocks alone: k = 2 into size 3, then k = 3 into size 5 (one short block each)
+    "one block, size - k < k": TupleSpec((2,), (1, 1)),
+    # k = 3 into size 9 (whole blocks), k = 4 into 9 and 5, 6 into 19 (a short last block)
+    "blocks, size not a multiple of k": TupleSpec((4,), (2, 2)),
+}
+
+
+class TestChainPaths:
+    @pytest.mark.parametrize("t", CHAIN_PATHS.values(), ids=list(CHAIN_PATHS))
+    def test_each_step_matches_the_naive_route(self, t):
+        for n, poly in enumerate(d_n_sweep(t, 3), start=1):
+            assert poly == d_polynomial_naive(t.scaled(n)), n
+
+    @pytest.mark.parametrize(
+        "t, n_max, strides",
+        [
+            # k*k >= size at every division: no stride pass
+            (CHAIN_PATHS["one block, size - k < k"], 3, 0),
+            # size 6 at n = 1: k = 1 and k = 2 run 1 + 2 stride passes
+            (CHAIN_PATHS["pairs at n >= 2"], 1, 3),
+        ],
+    )
+    def test_long_strides_divide_by_blocks(self, monkeypatch, t, n_max, strides):
+        calls = []
+
+        def counted(values):
+            calls.append(values)
+            return accumulate(values)
+
+        accumulate = qfactor.accumulate
+        monkeypatch.setattr(qfactor, "accumulate", counted)
+        d_n_sweep(t, n_max)
+        assert len(calls) == strides
