@@ -39,23 +39,21 @@ from .landau import (
 )
 from .polyring import IntPoly, cyclotomic
 from .qfactor import (
-    CycloExponents,
     TupleSpec,
     classical_ratio,
-    d_n_sweep,
     d_polynomial,
     d_polynomial_naive,
     q_binomial,
     q_factorial,
     q_integer,
     ratio_exponents,
+    scaled_ratios,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CanonicalTuple",
-    "CycloExponents",
     "Degenerate",
     "IdentityViolation",
     "IntPoly",
@@ -73,7 +71,6 @@ __all__ = [
     "chu_vandermonde_check",
     "classical_ratio",
     "cyclotomic",
-    "d_n_sweep",
     "d_polynomial",
     "d_polynomial_naive",
     "e_main_check",
@@ -87,6 +84,7 @@ __all__ = [
     "q_integer",
     "r_poly",
     "ratio_exponents",
+    "scaled_ratios",
     "super_catalan_check",
     "super_catalan_q_direct",
     "super_catalan_q_recurrence",

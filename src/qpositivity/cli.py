@@ -116,27 +116,29 @@ def _build_parser() -> _Parser:
     common.add_argument("--out", metavar="DIR", help="persist/reuse results under DIR")
     common.add_argument("--jobs", type=_positive, default=os.cpu_count() or 1)
     common.add_argument("--no-timing", action="store_true", help="omit elapsed_ms")
-    common.add_argument("--full", action="store_true", help="include coefficient lists")
-    common.add_argument("--raw", action="store_true", help="skip tuple canonicalization")
+    full = argparse.ArgumentParser(add_help=False)
+    full.add_argument("--full", action="store_true", help="include coefficient lists")
+    raw = argparse.ArgumentParser(add_help=False)
+    raw.add_argument("--raw", action="store_true", help="skip tuple canonicalization")
 
     parser = _Parser(prog="qpos", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("landau", parents=[common], help="decide the floor-sum criterion")
+    p = sub.add_parser("landau", parents=[common, raw], help="decide the floor-sum criterion")
     p.add_argument("--a", type=_int_list, required=True)
     p.add_argument("--b", type=_int_list, required=True)
 
-    p = sub.add_parser("dpoly", parents=[common], help="one factorial-ratio polynomial")
+    p = sub.add_parser("dpoly", parents=[common, raw], help="one factorial-ratio polynomial")
     p.add_argument("--a", type=_int_list, required=True)
     p.add_argument("--b", type=_int_list, required=True)
     p.add_argument("--n", type=_positive, required=True)
 
-    p = sub.add_parser("sweep", parents=[common], help="D_n for n = 1..n-max")
+    p = sub.add_parser("sweep", parents=[common, full, raw], help="D_n for n = 1..n-max")
     p.add_argument("--a", type=_int_list, required=True)
     p.add_argument("--b", type=_int_list, required=True)
     p.add_argument("--n-max", type=_positive, required=True)
 
-    p = sub.add_parser("enumerate", parents=[common], help="tuple families, optional sweep")
+    p = sub.add_parser("enumerate", parents=[common, full], help="tuple families, optional sweep")
     p.add_argument("--r", type=_positive, required=True)
     p.add_argument("--s", type=_positive, required=True)
     p.add_argument("--sum-bound", type=_positive, required=True)
@@ -146,7 +148,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("identities", parents=[common], help="cross-check every identity")
     p.add_argument("--max-n", type=_non_negative, required=True)
 
-    p = sub.add_parser("borwein", parents=[common], help="Borwein-type sums for n = 0..n-max")
+    p = sub.add_parser("borwein", parents=[common, full], help="Borwein-type sums, n = 0..n-max")
     p.add_argument("--n-max", type=_positive, required=True)
 
     p = sub.add_parser("rpoly", parents=[common], help="the factored alternating sum R")

@@ -186,13 +186,7 @@ def b_table_size(r: int, s: int, sum_bound: int) -> int:
     return sum(series)
 
 
-def enumerate_tuples(
-    r: int,
-    s: int,
-    sum_bound: int,
-    balanced_only: bool,
-    primitive_only: bool = True,
-) -> Iterator[TupleSpec]:
+def enumerate_tuples(r: int, s: int, sum_bound: int, balanced_only: bool) -> Iterator[TupleSpec]:
     """All canonical criterion-satisfying tuple pairs with |a| = r, |b| = s.
 
     Canonical means: both sides weakly decreasing and no entry common to both.
@@ -202,7 +196,7 @@ def enumerate_tuples(
     x = 1/b_1, f = sum(a_i // b_1) - #{j : b_j = b_1}, which is negative unless
     some a_i >= b_1, and disjointness then forces a_1 > b_1.  Imprimitive
     pairs (gcd of all entries > 1) are scale-ups of primitive ones and are
-    filtered out unless primitive_only is False.
+    filtered out.
 
     The b-tuples (entries below a_1 <= sum_bound - r + 1) are generated once,
     in lexicographic order, into a table: a bucket per sum when balanced_only,
@@ -225,8 +219,7 @@ def enumerate_tuples(
         for a in _descending_tuples(r, sum_bound, sum_bound):
             bucket = table.get(sum(a) if balanced_only else 0, ())
             for b in islice(bucket, bisect_left(bucket, (a[0],))):
-                ok = set(a).isdisjoint(b) and (not primitive_only or gcd(*a, *b) == 1)
-                if ok and _holds(a, b):
+                if set(a).isdisjoint(b) and gcd(*a, *b) == 1 and _holds(a, b):
                     yield TupleSpec(a, b)
 
     return pairs()

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import functools
 from operator import add, neg
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import NotDivisible
 
@@ -54,28 +54,22 @@ class IntPoly:
         return _ONE
 
     @classmethod
-    def monomial(cls, exponent: int, coefficient: int = 1) -> IntPoly:
-        """The polynomial ``coefficient * q**exponent``."""
+    def monomial(cls, exponent: int) -> IntPoly:
+        """The polynomial ``q**exponent``."""
         if exponent < 0:
             raise ValueError("monomial exponent must be >= 0")
-        return cls((0,) * exponent + (coefficient,))
+        return cls((0,) * exponent + (1,))
 
     @property
     def degree(self) -> int | None:
         """Degree of the polynomial; None for the zero polynomial."""
         return len(self.coeffs) - 1 if self.coeffs else None
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
     def __len__(self) -> int:
         return len(self.coeffs)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.coeffs)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, IntPoly):

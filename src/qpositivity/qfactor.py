@@ -87,20 +87,6 @@ class TupleSpec(_TuplePair):
         return max(max(self.a), max(self.b))
 
 
-class CycloExponents(NamedTuple):
-    """Exponent of Phi_ell in a factorial ratio, for every ell with a nonzero one.
-
-    Indices ell run over 2..the largest tuple entry; anything above it is zero
-    and is not stored, and neither are interior zeros.
-    """
-
-    exponents: dict[int, int]
-
-    def smallest_negative(self) -> int | None:
-        neg = [ell for ell, e in self.exponents.items() if e < 0]
-        return min(neg) if neg else None
-
-
 def q_integer(n: int) -> IntPoly:
     """The q-analogue of n: 1 + q + ... + q**(n-1).  Requires n >= 1."""
     if n < 1:
@@ -139,14 +125,18 @@ def q_binomial(n: int, m: int) -> IntPoly:
     return d_polynomial(TupleSpec((n,), (m, n - m)))
 
 
-def ratio_exponents(t: TupleSpec) -> CycloExponents:
-    """Cyclotomic exponents of the ratio: e_ell = sum(a_i//ell) - sum(b_j//ell)."""
+def ratio_exponents(t: TupleSpec) -> dict[int, int]:
+    """Cyclotomic exponents of the ratio: e_ell = sum(a_i//ell) - sum(b_j//ell).
+
+    Keyed by ell in 2..the largest tuple entry (every exponent above it is
+    zero); zero exponents are not stored.
+    """
     ells = range(2, t.max_entry + 1)
     exps = repeat(0)
     for xs, op in ((t.a, add), (t.b, sub)):
         for x in xs:
             exps = map(op, exps, map(floordiv, repeat(x), ells))
-    return CycloExponents({ell: e for ell, e in zip(ells, exps) if e})
+    return {ell: e for ell, e in zip(ells, exps) if e}
 
 
 def scaled_ratios(t: TupleSpec, n_max: int) -> Iterator[IntPoly]:
@@ -182,12 +172,11 @@ def scaled_ratios(t: TupleSpec, n_max: int) -> Iterator[IntPoly]:
     seed = [1]
     for n in range(1, n_max + 1):
         s = t.scaled(n)
-        ce = ratio_exponents(s)
-        bad = ce.smallest_negative()
+        exps = ratio_exponents(s)
+        bad = min((ell for ell, e in exps.items() if e < 0), default=None)
         if bad is not None:
             raise NotPolynomial(
-                f"ratio {s.a}/{s.b} is not a polynomial: exponent of Phi_{bad} is "
-                f"{ce.exponents[bad]}",
+                f"ratio {s.a}/{s.b} is not a polynomial: exponent of Phi_{bad} is {exps[bad]}",
                 ell=bad,
                 n=n,
             )
@@ -288,18 +277,3 @@ def classical_ratio(t: TupleSpec) -> Fraction:
         elif v < 0:
             den *= p**-v
     return Fraction(num, den)
-
-
-def d_n_sweep(t: TupleSpec, n_max: int) -> list[IntPoly]:
-    """The scaled ratio polynomial for every n = 1..n_max, each grown from the last.
-
-    The caller is expected to have checked the integrality criterion; if it
-    does not hold, the n at which a cyclotomic exponent first goes negative
-    raises NotPolynomial carrying that n (`scaled_ratios` checks every n).
-    """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    try:
-        return list(scaled_ratios(t, n_max))
-    except NotPolynomial as exc:
-        raise NotPolynomial(f"at n={exc.n}: {exc}", ell=exc.ell, n=exc.n) from None

@@ -614,6 +614,48 @@ class TestUsageErrors:
         capsys.readouterr()
 
 
+# The smallest valid arguments of each command, and the commands that read
+# --full (the coefficient lists) and --raw (no canonicalization).
+MINIMAL_ARGS = {
+    "landau": ("--a", "2", "--b", "1,1"),
+    "dpoly": ("--a", "2", "--b", "1,1", "--n", "1"),
+    "sweep": ("--a", "2", "--b", "1,1", "--n-max", "1"),
+    "enumerate": ("--r", "1", "--s", "2", "--sum-bound", "4"),
+    "identities": ("--max-n", "1"),
+    "borwein": ("--n-max", "1"),
+    "rpoly": ("--n", "1", "--m", "1", "--r", "1", "--s", "1"),
+}
+TAKES = {"--full": ("sweep", "enumerate", "borwein"), "--raw": ("landau", "dpoly", "sweep")}
+FLAG_PAIRS = [(command, flag) for flag in TAKES for command in MINIMAL_ARGS]
+
+
+class TestFlagsPerCommand:
+    @pytest.mark.parametrize(
+        "command, flag", [pair for pair in FLAG_PAIRS if pair[0] not in TAKES[pair[1]]]
+    )
+    def test_a_flag_the_command_ignores_is_a_usage_error(self, capsys, command, flag):
+        with pytest.raises(SystemExit) as info:
+            cli.main([command, *MINIMAL_ARGS[command], flag, "--no-timing"])
+        assert info.value.code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"error: unrecognized arguments: {flag}" in err
+
+    @pytest.mark.parametrize(
+        "command, flag", [pair for pair in FLAG_PAIRS if pair[0] in TAKES[pair[1]]]
+    )
+    def test_a_flag_the_command_reads_parses(self, command, flag):
+        args = cli._build_parser().parse_args([command, *MINIMAL_ARGS[command], flag])
+        assert getattr(args, flag[2:]) is True
+        assert cli._cache_key(args)[flag[2:]] is True
+
+    @pytest.mark.parametrize("command", MINIMAL_ARGS)
+    def test_the_out_key_holds_only_flags_the_command_takes(self, command):
+        args = cli._build_parser().parse_args([command, *MINIMAL_ARGS[command]])
+        for flag, commands in TAKES.items():
+            assert (flag[2:] in cli._cache_key(args)) == (command in commands)
+
+
 class TestDeterminismAndCaching:
     def test_no_timing_output_is_reproducible(self, capsys):
         args = ("sweep", "--a", "3", "--b", "2,1", "--n-max", "5", "--no-timing")
@@ -706,7 +748,7 @@ class TestDeterminismAndCaching:
             _edit_cache(STALE, version="0.0.0-other"),
             _edit_cache(STALE, schema=0),
             _edit_cache(STALE, command="sweep"),
-            _edit_cache(STALE, params={"a": [2], "b": [1, 1], "n": 1, "full": False, "raw": False}),
+            _edit_cache(STALE, params={"a": [2], "b": [1, 1], "n": 1, "raw": False}),
         ],
         ids=[
             "truncated",
