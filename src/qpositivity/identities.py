@@ -388,24 +388,19 @@ def chu_vandermonde_check(a: int, b: int, c: int) -> bool:
 def e_main_check(n: int, p: int) -> bool:
     """The double Chu-Vandermonde expansion of [2n+2p over p].
 
-    Checks both displayed equalities: the single sum over j and its further
-    expansion where [n+p over p-j] is split by a second Chu-Vandermonde.
-    All three sides take the value C(2n+2p, p) at q = 1, by the classical
-    Vandermonde identity (twice for the double sum), so that one number
-    bounds the coefficients of each.
+    The single sum [2n+2p over p] = sum_j q^{j(n+j)} [n+p over j] [n+p over p-j]
+    is `chu_vandermonde_check(n+p, n+p, p)`.  The double sum splits each
+    [n+p over p-j] by a second Chu-Vandermonde, sum_k q^{k(n+k)} [j over k]
+    [n+p-j over p-j-k], which is `chu_vandermonde_check(j, n+p-j, p-j)`.
+    Checking the single sum and every inner sum against the Gaussian it
+    expands implies the double equality, since the double sum is then the
+    single sum term by term; and a wrong inner sum cannot cancel against
+    another inside the total.
     """
     _check_nm(n, p)
-    w = _width(comb(2 * n + 2 * p, p))
-    single = double = 0
-    for j in range(p + 1):
-        outer = _binomial_image(n + p, j, w)
-        single += (outer * _binomial_image(n + p, p - j, w)) << w * j * (n + j)
-        inner = sum(
-            (_binomial_image(j, k, w) * _binomial_image(n + p - j, p - j - k, w)) << w * k * (n + k)
-            for k in range(min(j, p - j) + 1)
-        )
-        double += (outer * inner) << w * j * (n + j)
-    return _binomial_image(2 * n + 2 * p, p, w) == single == double
+    return chu_vandermonde_check(n + p, n + p, p) and all(
+        chu_vandermonde_check(j, n + p - j, p - j) for j in range(p + 1)
+    )
 
 
 def q_binomial_theorem_check(n: int) -> bool:

@@ -28,9 +28,8 @@ ordinary factorials, again independently of both polynomial routes.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import cache
-from itertools import accumulate, repeat
+from itertools import accumulate, pairwise, repeat
 from operator import add, floordiv, sub
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
@@ -151,6 +150,13 @@ def scaled_ratios(t: TupleSpec, n_max: int) -> Iterator[IntPoly]:
     dividing by it is a running sum along each residue class mod k; no
     polynomial multiplication.
 
+    The powers c_k are read off the breakpoints of the entry ranges: each
+    a-entry adds +1 at the start (n-1)x + 1 of its range and -1 just past
+    its end, each b-entry the opposite, so c_k is constant between two
+    consecutive breakpoints.  A walk over the sorted breakpoints keeps that
+    running level and stores each nonzero run at once with `dict.fromkeys`,
+    so the Python-level work grows with the number of entries, not of k.
+
     Every step is exact in the ring of power series truncated at that power,
     where the factors commute and each (1 - q^k) is a unit, so neither the
     grouping nor the order of the passes can change the result:
@@ -182,23 +188,36 @@ def scaled_ratios(t: TupleSpec, n_max: int) -> Iterator[IntPoly]:
             )
         size = s.degree // 2 + 1
         series = seed[:size] + [0] * (size - len(seed))
-        # power of 1 - q^k; factors with k >= size are 1 modulo q^size
-        powers = Counter({1: t.sum_b - t.sum_a})
-        for xs, count in ((t.a, powers.update), (t.b, powers.subtract)):
-            count(k for x in xs for k in range((n - 1) * x + 1, min(n * x + 1, size)))
+        # breakpoints of the entry ranges, cut at size: factors with k >= size
+        # are 1 modulo q^size
+        steps: dict[int, int] = {}
+        for xs, sign in ((t.a, 1), (t.b, -1)):
+            for x in xs:
+                lo, hi = (n - 1) * x + 1, min(n * x + 1, size)
+                if lo < hi:
+                    steps[lo] = steps.get(lo, 0) + sign
+                    steps[hi] = steps.get(hi, 0) - sign
+        # power of 1 - q^k, keyed in ascending k; only nonzero runs are stored
+        powers = {1: 0}
+        level = 0
+        for lo, hi in pairwise(sorted(steps)):
+            level += steps[lo]
+            if level:
+                powers.update(dict.fromkeys(range(lo, hi), level))
+        powers[1] += t.sum_b - t.sum_a
         # (1 - q^2k) / (1 - q^k) = 1 + q^k: one pass in place of two
-        for k in sorted(powers):
-            pairs = min(-powers[k], powers[2 * k])
+        for k in powers:
+            pairs = min(-powers[k], powers.get(2 * k, 0))
             if pairs > 0:
                 powers[k] += pairs
                 powers[2 * k] -= pairs
                 for _ in range(pairs):
                     series[k:] = map(add, series[k:], series[:-k])
         # Multiplying first, then dividing largest k first, keeps intermediates small.
-        for k in sorted(powers):
+        for k in powers:
             for _ in range(powers[k]):
                 series[k:] = map(sub, series[k:], series[:-k])
-        for k in sorted(powers, reverse=True):
+        for k in reversed(powers):
             for _ in range(-powers[k]):
                 if k * k < size:
                     for r in range(k):

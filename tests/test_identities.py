@@ -140,7 +140,7 @@ class TestSummationChecks:
     def test_chu_vandermonde_out_of_range_c(self):
         assert chu_vandermonde_check(2, 2, 5)  # both sides vanish
 
-    def test_widths_from_the_closed_form_equal_the_summed_ones(self):
+    def test_widths_from_the_closed_form_equal_the_summed_ones(self, monkeypatch):
         # the summed bounds the checks once used, against the one C(., .) they use now
         span = range(17)
         for a in span:
@@ -150,16 +150,14 @@ class TestSummationChecks:
                     summed = sum(comb(a, k) * comb(b, c - k) for k in ks)
                     old = identities._width(comb(a + b, c), summed)
                     assert old == identities._width(comb(a + b, c)), (a, b, c)
-        for n in span:
-            for p in span:
-                single = sum(comb(n + p, j) * comb(n + p, p - j) for j in range(p + 1))
-                double = sum(
-                    comb(n + p, j) * comb(j, k) * comb(n + p - j, p - j - k)
-                    for j in range(p + 1)
-                    for k in range(min(j, p - j) + 1)
-                )
-                old = identities._width(comb(2 * n + 2 * p, p), single, double)
-                assert old == identities._width(comb(2 * n + 2 * p, p)), (n, p)
+        # every Chu-Vandermonde sum e_main_check checks is at W = 64, the one memo
+        width, widths = identities._width, []
+        monkeypatch.setattr(identities, "_width", lambda *bs: widths.append(width(*bs)) or widths[-1])
+        monkeypatch.setattr(identities, "_IMAGES", {})
+        assert all(e_main_check(n, p) for n in span for p in span)
+        assert len(widths) == len(span) * sum(p + 2 for p in span)  # the single sum, p + 1 inner
+        assert set(widths) == {64}
+        assert set(identities._IMAGES) == {64}
 
     def test_e_main_small(self):
         assert all(e_main_check(n, p) for n in range(6) for p in range(6))
@@ -402,6 +400,13 @@ class TestChecksCanFail:
         assert not q_binomial_theorem_check(2)
         assert not super_catalan_check(0, 1)
         assert not b_poly_check(2, 0)
+
+    @pytest.mark.parametrize("broken_image", [(3, 1)], ids=["3-over-1"], indirect=True)
+    def test_e_main_checks_each_inner_sum(self, broken_image):
+        # the single sum for (2, 2) never reads [3 over 1]; the inner sum for j = 1 does
+        assert chu_vandermonde_check(4, 4, 2)
+        assert not chu_vandermonde_check(1, 3, 1)
+        assert not e_main_check(2, 2)
 
     def test_cli_reports_the_failing_cases(self, broken_image, capsys):
         code = cli.main(["identities", "--max-n", "4", "--no-timing"])

@@ -382,6 +382,14 @@ class TestChainPaths:
         for n, poly in enumerate(scaled_ratios(t, 3), start=1):
             assert poly == d_polynomial_naive(t.scaled(n)), n
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(tuple_specs, dominated_specs).filter(lambda t: landau.landau_check(t).holds))
+    @example(TupleSpec((2, 1), (1, 1, 1)))  # balanced; the a- and b-ranges overlap at every n
+    @example(TupleSpec((3, 1), (3,)))  # equal entries: their breakpoints cancel
+    def test_landau_tuples_match_the_naive_route(self, t):
+        for n, poly in enumerate(scaled_ratios(t, 3), start=1):
+            assert poly == d_polynomial_naive(t.scaled(n)), n
+
     @pytest.mark.parametrize(
         "t, n_max, strides",
         [
