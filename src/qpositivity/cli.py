@@ -27,8 +27,11 @@ any other file is recomputed and overwritten.  A run that stops early (usage
 error, exception, closed stdout, Ctrl-C, SIGTERM) leaves no file; under
 --out, SIGTERM exits with status 143 (128 + 15).  Only a signal that ends
 the process outright (SIGKILL) can leave a `.tmp-*` file, which is never
-replayed.  The modules only --out and --format csv use (hashlib, signal,
-tempfile, csv) are imported on demand, so other runs never load them.
+replayed.  Coefficients of any size are printed: the run lifts CPython's
+int -> str digit limit and restores it when it returns.  The modules only
+--out and --format csv use (hashlib, signal, tempfile, csv), and the
+package's own qfactor, polyring and identities, are imported on demand by the
+code that calls them, so `landau` and a plain `enumerate` never load them.
 
 dpoly, sweep and enumerate --sweep-n refuse, as a usage error and before any
 other work (sweep's Landau verdict included), any D_n whose degree
@@ -48,23 +51,14 @@ import os
 import sys
 import time
 from functools import cache
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from . import __version__
 from .errors import Degenerate, IdentityViolation, NotPolynomial
-from .identities import (
-    b_poly_check,
-    borwein_sum,
-    chu_vandermonde_check,
-    e_main_check,
-    positivity_report,
-    q_binomial_theorem_check,
-    r_poly,
-    super_catalan_check,
-)
-from .landau import b_table_size, canonicalize, enumerate_tuples, landau_check
-from .polyring import IntPoly
-from .qfactor import TupleSpec, classical_ratio, d_polynomial, scaled_ratios
+from .landau import TupleSpec, b_table_size, canonicalize, enumerate_tuples, landau_check
+
+if TYPE_CHECKING:
+    from .polyring import IntPoly
 
 MAX_SUM_BOUND = 64
 MAX_B_TUPLES = 250_000
@@ -164,6 +158,8 @@ def _build_parser() -> _Parser:
 
 
 def _poly_stats(poly: IntPoly, full: bool) -> dict:
+    from .polyring import positivity_report
+
     cs = poly.coeffs
     report = positivity_report(poly)
     stats = {
@@ -255,6 +251,8 @@ def _cmd_landau(args) -> Iterator[dict]:
 
 
 def _cmd_dpoly(args) -> Iterator[dict]:
+    from .qfactor import classical_ratio, d_polynomial
+
     echo = {"a": list(args.a), "b": list(args.b), "n": args.n, "raw": args.raw}
     spec, info = _resolve_spec(args.a, args.b, args.raw)
     _check_degree(spec, args.n)
@@ -293,6 +291,8 @@ def _map(fn, tasks: list, jobs: int) -> Iterator:
 
 def _d_rows(spec: TupleSpec, n_max: int, full: bool):
     """Stats rows of D_n of spec for n = 1..n_max, each D_n dropped once its row is made."""
+    from .qfactor import scaled_ratios
+
     for n, poly in enumerate(scaled_ratios(spec, n_max), start=1):
         yield dict(n=n, **_poly_stats(poly, full))
 
@@ -319,6 +319,7 @@ def _cmd_sweep(args) -> Iterator[dict]:
 
 def _tuple_sweep_record(task: tuple) -> dict:
     echo, a, b, n_max, full = task
+    _set_digit_limit(0)  # a worker started by spawn or forkserver has not run main
     per_n = list(_d_rows(TupleSpec(a, b), n_max, full))
     negative_ns = [row["n"] for row in per_n if not row["is_positive"]]
     payload = {
@@ -375,12 +376,22 @@ def _once_per_pair(check):
 
 
 def _cmd_identities(args) -> Iterator[dict]:
+    from .identities import (
+        b_poly_check,
+        chu_vandermonde_check,
+        e_main_check,
+        q_binomial_theorem_check,
+        r_poly,
+        super_catalan_check,
+    )
+    from .polyring import IntPoly
+
     if args.max_n > MAX_IDENTITY_N:
         raise _UsageError(f"--max-n is capped at {MAX_IDENTITY_N}")
     echo = {"max_n": args.max_n}
     span = range(args.max_n + 1)
     # (name, case keys, cases, check): built on each call, so the checks are
-    # whatever the module globals hold now, and the cases are generated lazily.
+    # whatever identities binds now, and the cases are generated lazily.
     # The pair memos last this call.  They are exact: super_catalan_check demands
     # direct(n, m) == direct(m, n), and both rows' other legs only swap factors.
     table = [
@@ -406,6 +417,8 @@ def _cmd_identities(args) -> Iterator[dict]:
 
 
 def _cmd_borwein(args) -> Iterator[dict]:
+    from .identities import borwein_sum
+
     if args.n_max > MAX_BORWEIN_N:
         raise _UsageError(f"--n-max is capped at {MAX_BORWEIN_N}")
     echo = {"n_max": args.n_max}
@@ -416,6 +429,8 @@ def _cmd_borwein(args) -> Iterator[dict]:
 
 
 def _cmd_rpoly(args) -> Iterator[dict]:
+    from .identities import r_poly
+
     size = args.r * args.n**2 + args.s * args.m**2
     if size > MAX_RPOLY_SIZE:
         raise _UsageError(f"r*n^2 + s*m^2 is {size}, above the cap of {MAX_RPOLY_SIZE}")
@@ -509,7 +524,26 @@ def _stored_run(path: str, key: bytes, command: str) -> Iterator[dict | None]:
             yield json.loads(handle.read(length).decode())
 
 
+def _set_digit_limit(limit: int) -> int | None:
+    """Set CPython's int -> str digit limit (0: none); the old one, None before 3.11."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return None
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    return old
+
+
 def main(argv=None) -> int:
+    # The digits are the answer, so no size of coefficient may end the run in a ValueError.
+    old = _set_digit_limit(0)
+    try:
+        return _run(argv)
+    finally:
+        if old is not None:
+            _set_digit_limit(old)
+
+
+def _run(argv) -> int:
     args = _build_parser().parse_args(argv)
     records = out_path = None
     if args.out:

@@ -51,11 +51,11 @@ from __future__ import annotations
 from functools import cache
 from itertools import combinations
 from math import comb
-from typing import NamedTuple
 
 from .errors import IdentityViolation, NotDivisible
-from .polyring import IntPoly, from_image, to_image
-from .qfactor import TupleSpec, d_polynomial, q_binomial
+from .landau import TupleSpec
+from .polyring import IntPoly, PositivityReport, from_image, positivity_report, to_image
+from .qfactor import d_polynomial, q_binomial
 
 __all__ = [
     "PositivityReport",
@@ -74,43 +74,6 @@ __all__ = [
     "borwein_sum",
     "positivity_report",
 ]
-
-
-class PositivityReport(NamedTuple):
-    """Coefficient-level facts about one polynomial.
-
-    `degree` is None for the zero polynomial.  `is_symmetric` means
-    c_i = c_{deg-i}; `is_unimodal` means the coefficients weakly rise to a
-    peak and then weakly fall.  Both are computed from the coefficients,
-    never assumed from provenance.
-    """
-
-    degree: int | None
-    negative_positions: tuple[int, ...]
-    is_positive: bool
-    is_symmetric: bool
-    is_unimodal: bool
-
-
-def positivity_report(p: IntPoly) -> PositivityReport:
-    cs = p.coeffs
-    # min is one C-level pass; the positions are looked for only when there are some
-    negatives = tuple(i for i, c in enumerate(cs) if c < 0) if min(cs, default=0) < 0 else ()
-    falling = False
-    unimodal = True
-    for prev, cur in zip(cs, cs[1:]):
-        if cur < prev:
-            falling = True
-        elif cur > prev and falling:
-            unimodal = False
-            break
-    return PositivityReport(
-        degree=p.degree,
-        negative_positions=negatives,
-        is_positive=not negatives,
-        is_symmetric=cs == cs[::-1],
-        is_unimodal=unimodal,
-    )
 
 
 def _ratio_spec(num, den) -> TupleSpec:

@@ -30,10 +30,55 @@ from math import gcd
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .errors import Degenerate
-from .qfactor import TupleSpec
 
 if TYPE_CHECKING:
     from fractions import Fraction
+
+
+class _TuplePair(NamedTuple):
+    a: tuple[int, ...]
+    b: tuple[int, ...]
+
+
+class TupleSpec(_TuplePair):
+    """A pair of positive-integer tuples naming a factorial ratio.
+
+    Both sides must be nonempty; a ratio with an empty denominator is written
+    with b = (1,) since [1]! = 1.  Specs compare and sort as the pair (a, b).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, a, b):
+        a, b = tuple(a), tuple(b)
+        if not a or not b:
+            raise ValueError("both tuple sides must be nonempty")
+        if any(x < 1 for x in a) or any(x < 1 for x in b):
+            raise ValueError("tuple entries must be positive integers")
+        return super().__new__(cls, a, b)
+
+    def scaled(self, n: int) -> TupleSpec:
+        """The tuple with every entry multiplied by n."""
+        if n < 1:
+            raise ValueError("scale must be >= 1")
+        return TupleSpec([x * n for x in self.a], [x * n for x in self.b])
+
+    @property
+    def sum_a(self) -> int:
+        return sum(self.a)
+
+    @property
+    def sum_b(self) -> int:
+        return sum(self.b)
+
+    @property
+    def degree(self) -> int:
+        """Degree of the ratio polynomial: sum C(a_i, 2) - sum C(b_j, 2)."""
+        return sum(x * (x - 1) // 2 for x in self.a) - sum(x * (x - 1) // 2 for x in self.b)
+
+    @property
+    def max_entry(self) -> int:
+        return max(max(self.a), max(self.b))
 
 
 class LandauVerdict(NamedTuple):

@@ -1,4 +1,4 @@
-"""Exact dense polynomial arithmetic over the integers, plus cyclotomic polynomials.
+"""Exact dense polynomial arithmetic over the integers, cyclotomics, positivity reports.
 
 A polynomial is a dense coefficient sequence: ``coeffs[i]`` is the (arbitrary
 precision) integer coefficient of q^i.  The sequence never ends in a zero, and
@@ -18,8 +18,8 @@ Values are immutable after construction and safe to share between threads.
 from __future__ import annotations
 
 import functools
-from operator import add, neg
-from typing import Iterable
+from operator import add, le, neg
+from typing import Iterable, NamedTuple
 
 from .errors import NotDivisible
 
@@ -267,3 +267,46 @@ def cyclotomic(ell: int) -> IntPoly:
         if ell % d == 0:
             poly = poly.divide_exact(cyclotomic(d))
     return poly
+
+
+class PositivityReport(NamedTuple):
+    """Coefficient-level facts about one polynomial.
+
+    `degree` is None for the zero polynomial.  `is_symmetric` means
+    c_i = c_{deg-i}; `is_unimodal` means the coefficients weakly rise to a
+    peak and then weakly fall.  Both are computed from the coefficients,
+    never assumed from provenance.
+    """
+
+    degree: int | None
+    negative_positions: tuple[int, ...]
+    is_positive: bool
+    is_symmetric: bool
+    is_unimodal: bool
+
+
+def positivity_report(p: IntPoly) -> PositivityReport:
+    cs = p.coeffs
+    # min is one C-level pass; the positions are looked for only when there are some
+    negatives = tuple(i for i, c in enumerate(cs) if c < 0) if min(cs, default=0) < 0 else ()
+    symmetric = cs == cs[::-1]
+    if symmetric:
+        # the high half mirrors the low half, which must weakly rise up to the middle
+        low = cs[: len(cs) // 2 + 1]
+        unimodal = all(map(le, low, low[1:]))
+    else:
+        falling = False
+        unimodal = True
+        for prev, cur in zip(cs, cs[1:]):
+            if cur < prev:
+                falling = True
+            elif cur > prev and falling:
+                unimodal = False
+                break
+    return PositivityReport(
+        degree=p.degree,
+        negative_positions=negatives,
+        is_positive=not negatives,
+        is_symmetric=symmetric,
+        is_unimodal=unimodal,
+    )

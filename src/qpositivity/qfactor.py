@@ -1,12 +1,13 @@
 """q-integers, q-factorials, Gaussian polynomials and factorial-ratio polynomials.
 
-A factorial ratio is named by a pair of positive-integer tuples (a, b): the
-numerator carries the factorials of the a-entries, the denominator those of
-the b-entries.  Its q-analogue replaces every factorial by a q-factorial; the
-result, when it is a polynomial at all, factors over the integers as a product
-of cyclotomic polynomials Phi_ell (ell >= 2) with exponents given by a floor
-sum.  Those exponents decide polynomiality; the polynomial itself is built
-from the identity [x]! = prod_{k<=x} (1 - q^k) / (1 - q)^x.
+A factorial ratio is named by a pair of positive-integer tuples (a, b), a
+``landau.TupleSpec``: the numerator carries the factorials of the a-entries,
+the denominator those of the b-entries.  Its q-analogue replaces every
+factorial by a q-factorial; the result, when it is a polynomial at all,
+factors over the integers as a product of cyclotomic polynomials Phi_ell
+(ell >= 2) with exponents given by a floor sum.  Those exponents decide
+polynomiality; the polynomial itself is built from the identity
+[x]! = prod_{k<=x} (1 - q^k) / (1 - q)^x.
 
 Two independent routes compute the same polynomial and act as oracles for one
 another:
@@ -31,59 +32,14 @@ from __future__ import annotations
 from functools import cache
 from itertools import accumulate, pairwise, repeat
 from operator import add, floordiv, sub
-from typing import TYPE_CHECKING, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterator
 
 from .errors import NotDivisible, NotPolynomial
+from .landau import TupleSpec
 from .polyring import IntPoly
 
 if TYPE_CHECKING:
     from fractions import Fraction
-
-
-class _TuplePair(NamedTuple):
-    a: tuple[int, ...]
-    b: tuple[int, ...]
-
-
-class TupleSpec(_TuplePair):
-    """A pair of positive-integer tuples naming a factorial ratio.
-
-    Both sides must be nonempty; a ratio with an empty denominator is written
-    with b = (1,) since [1]! = 1.  Specs compare and sort as the pair (a, b).
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, a, b):
-        a, b = tuple(a), tuple(b)
-        if not a or not b:
-            raise ValueError("both tuple sides must be nonempty")
-        if any(x < 1 for x in a) or any(x < 1 for x in b):
-            raise ValueError("tuple entries must be positive integers")
-        return super().__new__(cls, a, b)
-
-    def scaled(self, n: int) -> TupleSpec:
-        """The tuple with every entry multiplied by n."""
-        if n < 1:
-            raise ValueError("scale must be >= 1")
-        return TupleSpec([x * n for x in self.a], [x * n for x in self.b])
-
-    @property
-    def sum_a(self) -> int:
-        return sum(self.a)
-
-    @property
-    def sum_b(self) -> int:
-        return sum(self.b)
-
-    @property
-    def degree(self) -> int:
-        """Degree of the ratio polynomial: sum C(a_i, 2) - sum C(b_j, 2)."""
-        return sum(x * (x - 1) // 2 for x in self.a) - sum(x * (x - 1) // 2 for x in self.b)
-
-    @property
-    def max_entry(self) -> int:
-        return max(max(self.a), max(self.b))
 
 
 def q_integer(n: int) -> IntPoly:

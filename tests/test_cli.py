@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import math
 import os
 import signal
 import subprocess
@@ -11,10 +12,11 @@ from pathlib import Path
 
 import pytest
 
-from qpositivity import cli
+import qpositivity
+from qpositivity import cli, identities, qfactor
 from qpositivity.errors import IdentityViolation
+from qpositivity.landau import TupleSpec
 from qpositivity.polyring import IntPoly
-from qpositivity.qfactor import TupleSpec
 
 
 def run_cli(capsys, *argv):
@@ -35,6 +37,8 @@ STALE = {"payload": {"stale": True}}
 # fractions (with decimal), which only a Landau verdict or a q=1 ratio builds.
 LAZY = ("dataclasses", "inspect", "hashlib", "_hashlib", "csv", "tempfile", "signal",
         "concurrent.futures.process", "multiprocessing", "fractions", "decimal")
+# The package's modules that a command which builds no polynomial must not load.
+POLYNOMIAL_MODULES = ("qpositivity.qfactor", "qpositivity.polyring", "qpositivity.identities")
 # The package's own source directory, so that a `python -S` child finds it.
 SRC_ENV = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
 
@@ -279,6 +283,57 @@ class TestSweepCommand:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
 
+    def test_importing_the_package_loads_no_submodule(self):
+        code = "import sys, qpositivity; print([m for m in sys.modules if 'qpositivity.' in m])"
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60,
+            env=SRC_ENV,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            None,
+            ["landau", "--a", "30,1", "--b", "15,10,6"],
+            ["enumerate", "--r", "2", "--s", "3", "--sum-bound", "12", "--balanced"],
+        ],
+        ids=["import", "landau", "enumerate"],
+    )
+    def test_polynomial_free_runs_load_no_polynomial_module(self, argv):
+        run = "" if argv is None else f"cli.main({argv!r} + ['--jobs', '1']); "
+        code = (
+            f"import sys, qpositivity.cli as cli; {run}"
+            f"print(sorted(set({POLYNOMIAL_MODULES!r}) & set(sys.modules)))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60,
+            env=SRC_ENV,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
+
+    def test_every_public_name_resolves(self):
+        # a fresh interpreter, so each name is looked up through the package's lazy hook
+        code = (
+            "import qpositivity; names = {}; exec('from qpositivity import *', names); "
+            "print(sorted(set(qpositivity.__all__) ^ set(names) - {'__builtins__'}), "
+            "all(getattr(qpositivity, n) is names[n] for n in qpositivity.__all__))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60,
+            env=SRC_ENV,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[] True\n"
+
+    def test_unknown_public_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            qpositivity.no_such_name
+        with pytest.raises(ImportError):
+            from qpositivity import no_such_name  # noqa: F401
+
     def test_jobs_flag_gives_identical_records(self, capsys, monkeypatch):
         from concurrent.futures import ProcessPoolExecutor
 
@@ -389,7 +444,7 @@ class TestDegreeGuard:
         def no_scan(*args, **kwargs):
             raise AssertionError("D must be sized before the Landau scan")
 
-        monkeypatch.setattr(cli, "d_polynomial", no_build)
+        monkeypatch.setattr(qfactor, "d_polynomial", no_build)
         monkeypatch.setattr(cli, "landau_check", no_scan)
         assert cli.main(list(argv)) == 1
         captured = capsys.readouterr()
@@ -470,8 +525,8 @@ class TestIdentitiesCommand:
                 raise IdentityViolation("forced for the test")
             return True
 
-        monkeypatch.setattr(cli, "chu_vandermonde_check", fails_once)
-        monkeypatch.setattr(cli, "e_main_check", raises_once)
+        monkeypatch.setattr(identities, "chu_vandermonde_check", fails_once)
+        monkeypatch.setattr(identities, "e_main_check", raises_once)
         code, recs = run_cli(capsys, "identities", "--max-n", "1")
         assert code == 3
         by_name = {rec["payload"]["identity"]: rec for rec in recs}
@@ -488,11 +543,11 @@ class TestIdentitiesCommand:
     def test_symmetric_rows_check_each_pair_once(self, capsys, monkeypatch):
         calls = {"super_catalan_check": [], "r_poly": []}
         for name, seen in calls.items():
-            def counted(*args, real=getattr(cli, name), seen=seen):
+            def counted(*args, real=getattr(identities, name), seen=seen):
                 seen.append(args[:2])
                 return real(*args)
 
-            monkeypatch.setattr(cli, name, counted)
+            monkeypatch.setattr(identities, name, counted)
         code, recs = run_cli(capsys, "identities", "--max-n", "4")
         assert code == 0
         pairs = [(n, m) for n in range(5) for m in range(n, 5)]
@@ -527,8 +582,8 @@ class TestSizeCaps:
         assert message in proc.stderr
 
     def test_caps_are_inclusive(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "borwein_sum", lambda n: IntPoly.one())
-        monkeypatch.setattr(cli, "r_poly", lambda n, m, r, s: IntPoly.one())
+        monkeypatch.setattr(identities, "borwein_sum", lambda n: IntPoly.one())
+        monkeypatch.setattr(identities, "r_poly", lambda n, m, r, s: IntPoly.one())
         top = str(cli.MAX_BORWEIN_N)
         assert cli.main(["borwein", "--n-max", top]) == 0
         assert cli.main(["borwein", "--n-max", str(cli.MAX_BORWEIN_N + 1)]) == 1
@@ -578,11 +633,45 @@ class TestBorweinAndRpoly:
         assert code == 0
         assert recs[0]["payload"]["coefficients"] == ["0", "1"]
 
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="no int -> str digit limit before 3.11"
+    )
+    def test_coefficients_above_the_digit_limit_are_printed(self, capsys):
+        # R_{1,1;r,s} = (1 + q)^(r+s-1) - 1, whose middle coefficient C(2200, 1100) has 661 digits
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            code, recs = run_cli(capsys, "rpoly", "--n", "1", "--m", "1", "--r", "2200", "--s", "1")
+            restored = sys.get_int_max_str_digits()
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert code == 0
+        assert restored == 640
+        expected = [math.comb(2200, i) for i in range(2201)]
+        expected[0] = 0
+        assert len(str(max(expected))) > 640
+        assert recs[0]["payload"]["coefficients"] == [str(c) for c in expected]
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="no int -> str digit limit before 3.11"
+    )
+    def test_pool_task_lifts_the_digit_limit(self):
+        # a pool worker started by spawn or forkserver runs the task without running main
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            rec = cli._tuple_sweep_record(({}, (2,), (1, 1), 1, True))
+            lifted = sys.get_int_max_str_digits()
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert lifted == 0
+        assert rec["payload"]["per_n"][0]["coefficients"] == ["1", "1"]
+
     def test_rpoly_violation_exits_3(self, capsys, monkeypatch):
         def boom(n, m, r, s):
             raise IdentityViolation("forced for the test")
 
-        monkeypatch.setattr(cli, "r_poly", boom)
+        monkeypatch.setattr(identities, "r_poly", boom)
         code, recs = run_cli(capsys, "rpoly", "--n", "2", "--m", "2", "--r", "2", "--s", "2")
         assert code == 3
         assert recs[0]["status"] == "identity-violation"
@@ -888,7 +977,7 @@ class TestDeterminismAndCaching:
 
 class TestStreaming:
     def test_sweep_prints_each_record_as_it_is_made(self, capsys, monkeypatch):
-        chain = cli.scaled_ratios
+        chain = qfactor.scaled_ratios
         seen = []
 
         def checked(spec, n_max):
@@ -897,13 +986,13 @@ class TestStreaming:
                     seen.append(capsys.readouterr().out)
                 yield poly
 
-        monkeypatch.setattr(cli, "scaled_ratios", checked)
+        monkeypatch.setattr(qfactor, "scaled_ratios", checked)
         assert cli.main(["sweep", "--a", "2", "--b", "1,1", "--n-max", "3"]) == 0
         (early,) = seen
         assert [json.loads(line)["payload"]["n"] for line in early.splitlines()] == [1]
 
     def test_identities_prints_each_record_as_it_is_made(self, capsys, monkeypatch):
-        check = cli.b_poly_check
+        check = identities.b_poly_check
         seen = []
 
         def checked(n, m):
@@ -911,7 +1000,7 @@ class TestStreaming:
                 seen.append(capsys.readouterr().out)
             return check(n, m)
 
-        monkeypatch.setattr(cli, "b_poly_check", checked)
+        monkeypatch.setattr(identities, "b_poly_check", checked)
         assert cli.main(["identities", "--max-n", "2"]) == 0
         (early,) = seen
         names = [json.loads(line)["payload"]["identity"] for line in early.splitlines()]

@@ -310,6 +310,50 @@ class TestPositivityReport:
     def test_descend_then_ascend_is_not_unimodal(self):
         assert not positivity_report(IntPoly([2, 1, 3])).is_unimodal
 
+    @pytest.mark.parametrize(
+        "cs",
+        [
+            [1, 3, 2, 3, 1],
+            [1, 3, 2, 2, 3, 1],
+            [1, 2, 2, 1],
+            [2, 1, 1, 2],
+            [1, 2, 2, 2, 1],
+            [2, 1, 1, 1, 2],
+            [1, 2, 1, 1, 2, 1],
+            [1, 2, 3, 2, 1],
+            [1, 2, 3, 3, 2, 1],
+            [2, 1, 2],
+            [3, 3],
+            [5],
+            [-1, 2, -1],
+            [1, -2, -2, 1],
+        ],
+    )
+    def test_symmetric_rows_match_the_brute_force_oracle(self, cs):
+        rep = positivity_report(IntPoly(cs))
+        assert rep.is_symmetric
+        assert rep.is_unimodal == _unimodal(cs)
+
+
+def _unimodal(cs) -> bool:
+    """Some peak p has cs rising weakly up to it and falling weakly after it."""
+    rises = lambda xs: all(x <= y for x, y in zip(xs, xs[1:]))
+    return any(rises(cs[: p + 1]) and rises(cs[p:][::-1]) for p in range(max(len(cs), 1)))
+
+
+@given(st.lists(st.integers(-3, 3), max_size=8), st.integers(1, 3), st.booleans())
+def test_unimodal_flag_of_palindromes(middle, end, odd):
+    low = [end, *middle]
+    cs = low + low[: len(low) - odd][::-1]
+    rep = positivity_report(IntPoly(cs))
+    assert rep.is_symmetric
+    assert rep.is_unimodal == _unimodal(cs)
+
+
+@given(st.lists(st.integers(-5, 5), max_size=15))
+def test_unimodal_flag_of_any_row(cs):
+    assert positivity_report(IntPoly(cs)).is_unimodal == _unimodal(IntPoly(cs).coeffs)
+
 
 @given(st.lists(st.integers(-5, 5), max_size=15))
 def test_report_flags_follow_from_coefficients(cs):
