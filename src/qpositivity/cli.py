@@ -165,7 +165,7 @@ def _poly_stats(poly: IntPoly, full: bool) -> dict:
     stats = {
         "degree": report.degree,
         "num_terms": len(cs) - cs.count(0),
-        "min_coeff": str(min(cs, default=0)),
+        "min_coeff": str(report.min_coeff),
         "is_positive": report.is_positive,
         "is_symmetric": report.is_symmetric,
         "is_unimodal": report.is_unimodal,

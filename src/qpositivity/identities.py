@@ -5,6 +5,11 @@ routes (direct factorial ratio vs. recurrence vs. alternating sum) are what
 the test suite and the `identities` CLI command verify.  A mismatch means an
 implementation bug, never numerical noise.
 
+The factorial-ratio routes (`super_catalan_q_direct`, `b_poly_direct` and
+`q_binomial`) use only the q-factorial product formula, by
+`qfactor.ratio_chain`: each grows a polynomial from an index neighbour built
+on the same route, never from an image, a recurrence, or A_{m,n} for A_{n,m}.
+
 The sums and recurrences are computed in the Kronecker image: a polynomial P
 stands for the one integer P(2**W), so products are int products,
 multiplying by q**k is a shift by W*k bits and sums are int sums.  P -> P(2**W)
@@ -55,25 +60,7 @@ from math import comb
 from .errors import IdentityViolation, NotDivisible
 from .landau import TupleSpec
 from .polyring import IntPoly, PositivityReport, from_image, positivity_report, to_image
-from .qfactor import d_polynomial, q_binomial
-
-__all__ = [
-    "PositivityReport",
-    "super_catalan_q_direct",
-    "super_catalan_q_recurrence",
-    "von_szily_q",
-    "von_szily_classical",
-    "super_catalan_check",
-    "b_poly_direct",
-    "b_poly_recurrence",
-    "b_poly_check",
-    "chu_vandermonde_check",
-    "e_main_check",
-    "q_binomial_theorem_check",
-    "r_poly",
-    "borwein_sum",
-    "positivity_report",
-]
+from .qfactor import d_polynomial, q_binomial, ratio_chain
 
 
 def _ratio_spec(num, den) -> TupleSpec:
@@ -132,6 +119,19 @@ def _respaced(x: int, w: int, wide: int, count: int) -> int:
     return int.from_bytes(out, "little")
 
 
+# IntPoly -> (its image at its own byte width, that width), for `r_poly`
+_ENCODED: dict[IntPoly, tuple[int, int]] = {}
+
+
+def _image(p: IntPoly, w: int) -> int:
+    """p at q = 2**w, its coefficients in [0, 2**(w-1)): encoded once per value, re-spaced."""
+    if p not in _ENCODED:
+        own = _width(max(p.coeffs), unit=8)
+        _ENCODED[p] = to_image(p.coeffs, own), own
+    x, own = _ENCODED[p]
+    return x if own == w else _respaced(x, own, w, len(p))
+
+
 def _max_abs(p: IntPoly) -> int:
     return max(map(abs, p.coeffs), default=0)
 
@@ -151,14 +151,21 @@ def _decode(x: int, w: int) -> IntPoly:
 # --- super Catalan polynomials -------------------------------------------
 
 
-@cache
+_A_MEMO: dict[tuple[int, int], IntPoly] = {}
+
+
 def super_catalan_q_direct(n: int, m: int) -> IntPoly:
     """A_{n,m}(q) = [2n]![2m]! / ([n]![n+m]![m]!) as a factorial ratio.
 
-    Cached: the super-Catalan check and `r_poly` both need it.
+    Memoized in `_A_MEMO`, as the check and `r_poly` both need it; a miss
+    grows from A_{n,m-1} or A_{n-1,m} when one is memoized.
     """
     _check_nm(n, m)
-    return d_polynomial(_ratio_spec((2 * n, 2 * m), (n, n + m, m)))
+    if (n, m) not in _A_MEMO:
+        spec = lambda i, j: _ratio_spec((2 * i, 2 * j), (i, i + j, j))
+        near = [(spec(*k), _A_MEMO[k]) for k in ((n, m - 1), (n - 1, m)) if k in _A_MEMO]
+        _A_MEMO[n, m] = d_polynomial(spec(n, m), near[0] if near else None)
+    return _A_MEMO[n, m]
 
 
 def super_catalan_q_recurrence(n: int, m: int) -> IntPoly:
@@ -290,10 +297,18 @@ def _check_b_args(n: int, m: int) -> None:
         raise ValueError(f"B_(n,m) requires n >= m, got n={n}, m={m}")
 
 
+_B_LAST: dict[tuple[int, int], IntPoly] = {}
+
+
 def b_poly_direct(n: int, m: int) -> IntPoly:
-    """B_{n,m}(q) = [2n]![m]! / ([n]![2m]![n-m]!), defined for n >= m."""
+    """B_{n,m}(q) = [2n]![m]! / ([n]![2m]![n-m]!) for n >= m, grown from `_B_LAST` if of row n."""
     _check_b_args(n, m)
-    return d_polynomial(_ratio_spec((2 * n, m), (n, 2 * m, n - m)))
+    spec = lambda i, j: _ratio_spec((2 * i, j), (i, 2 * j, i - j))
+    start = next(((spec(*k), p) for k, p in _B_LAST.items() if k[0] == n), None)
+    poly = d_polynomial(spec(n, m), start)
+    _B_LAST.clear()
+    _B_LAST[n, m] = poly
+    return poly
 
 
 def b_poly_recurrence(n: int, m: int) -> IntPoly:
@@ -409,8 +424,8 @@ def r_poly(n: int, m: int, r: int, s: int) -> IntPoly:
     The sum is taken in the image at the byte width W of `_szily_bound` and
     decoded once.  Powers are taken over IntPoly, where widths are tight.
     Their coefficients are non-negative, so each of a product a*b is at most
-    max(a) times b's value at q = 1: the product is taken at that byte width
-    and re-spaced to W, as the tail terms need far fewer bits than W.
+    max(a) times b's value at q = 1: a*b is the product of `_image`s at that
+    byte width, re-spaced to W, as the tail terms need far fewer bits than W.
     """
     _check_nm(n, m)
     if r < 1 or s < 1:
@@ -420,8 +435,7 @@ def r_poly(n: int, m: int, r: int, s: int) -> IntPoly:
     def term(k):
         a, b = q_binomial(2 * n, n + k) ** r, q_binomial(2 * m, m + k) ** s
         own = _width(max(a.coeffs) * comb(2 * m, m + k) ** s, unit=8)
-        x = to_image(a.coeffs, own) * to_image(b.coeffs, own)
-        return _respaced(x, own, w, len(a) + len(b) - 1)
+        return _respaced(_image(a, own) * _image(b, own), own, w, len(a) + len(b) - 1)
 
     try:
         return _decode(_szily_sum(n, m, w, term), w).divide_exact(super_catalan_q_direct(n, m))
@@ -438,13 +452,14 @@ def borwein_sum(n: int) -> IntPoly:
     Folded as `_szily_sum` is: the k and -k terms share the Gaussian
     [2n over n+3k] = [2n over n-3k] and the sign, and their shifts are
     binom(k,2) + 4k^2 and binom(k,2) + k + 4k^2.  Each row-2n Gaussian is read
-    once, so it bypasses `q_binomial`'s cache, which would only hold it.
+    once, so it bypasses `q_binomial`'s memo, which would only hold it: the
+    row is one `ratio_chain`, each Gaussian grown from the one before.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    total = q_binomial.__wrapped__(2 * n, n)
-    for k in range(1, n // 3 + 1):
-        p = q_binomial.__wrapped__(2 * n, n + 3 * k)
+    row = ratio_chain(_ratio_spec((2 * n,), (n + 3 * k, n - 3 * k)) for k in range(n // 3 + 1))
+    total = next(row)
+    for k, p in enumerate(row, start=1):
         pair = (p + p.shifted(k)).shifted(k * (k - 1) // 2 + 4 * k * k)
         total = total - pair if k % 2 else total + pair
     return total

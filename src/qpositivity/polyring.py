@@ -272,10 +272,10 @@ def cyclotomic(ell: int) -> IntPoly:
 class PositivityReport(NamedTuple):
     """Coefficient-level facts about one polynomial.
 
-    `degree` is None for the zero polynomial.  `is_symmetric` means
-    c_i = c_{deg-i}; `is_unimodal` means the coefficients weakly rise to a
-    peak and then weakly fall.  Both are computed from the coefficients,
-    never assumed from provenance.
+    `degree` is None for the zero polynomial, and `min_coeff` is 0 for it.
+    `is_symmetric` means c_i = c_{deg-i}; `is_unimodal` means the
+    coefficients weakly rise to a peak and then weakly fall.  Both are
+    computed from the coefficients, never assumed from provenance.
     """
 
     degree: int | None
@@ -283,12 +283,14 @@ class PositivityReport(NamedTuple):
     is_positive: bool
     is_symmetric: bool
     is_unimodal: bool
+    min_coeff: int
 
 
 def positivity_report(p: IntPoly) -> PositivityReport:
     cs = p.coeffs
     # min is one C-level pass; the positions are looked for only when there are some
-    negatives = tuple(i for i, c in enumerate(cs) if c < 0) if min(cs, default=0) < 0 else ()
+    least = min(cs, default=0)
+    negatives = tuple(i for i, c in enumerate(cs) if c < 0) if least < 0 else ()
     symmetric = cs == cs[::-1]
     if symmetric:
         # the high half mirrors the low half, which must weakly rise up to the middle
@@ -309,4 +311,5 @@ def positivity_report(p: IntPoly) -> PositivityReport:
         is_positive=not negatives,
         is_symmetric=symmetric,
         is_unimodal=unimodal,
+        min_coeff=least,
     )

@@ -13,10 +13,9 @@ Two independent routes compute the same polynomial and act as oracles for one
 another:
 
 * ``d_polynomial``      — the low half of the ratio as a truncated power
-                          series in the factors (1 - q^k), mirrored (the fast
-                          path): the first step of ``scaled_ratios``, the
-                          one series kernel, which grows each D_n of a sweep
-                          from D_{n-1};
+                          series in the factors (1 - q^k), mirrored: one
+                          step of ``ratio_chain``, the one series kernel,
+                          which grows each ratio from its neighbour's;
 * ``d_polynomial_naive``— multiply the numerator q-factorials, then exactly
                           divide by each denominator q-factorial in turn.
 
@@ -29,10 +28,9 @@ ordinary factorials, again independently of both polynomial routes.
 
 from __future__ import annotations
 
-from functools import cache
 from itertools import accumulate, pairwise, repeat
 from operator import add, floordiv, sub
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .errors import NotDivisible, NotPolynomial
 from .landau import TupleSpec
@@ -64,12 +62,15 @@ def q_factorial(n: int) -> IntPoly:
     return _QFACT[n]
 
 
-@cache
+_QBINOM: dict[tuple[int, int], IntPoly] = {}
+
+
 def q_binomial(n: int, m: int) -> IntPoly:
     """The Gaussian polynomial [n]! / ([m]! [n-m]!), built by `d_polynomial`.
 
-    The zero polynomial when m < 0 or m > n.  Cached: `r_poly` asks for the
-    same entries again and again.
+    The zero polynomial when m < 0 or m > n.  Memoized in `_QBINOM`, since
+    `r_poly` asks for the same entries again and again; a miss grows
+    [n over m] from [n over m-1] when that one is memoized.
     """
     if n < 0:
         raise ValueError("q_binomial upper index must be >= 0")
@@ -77,7 +78,21 @@ def q_binomial(n: int, m: int) -> IntPoly:
         return IntPoly.zero()
     if m in (0, n):
         return IntPoly.one()
-    return d_polynomial(TupleSpec((n,), (m, n - m)))
+    if (n, m) not in _QBINOM:
+        prev = _QBINOM.get((n, m - 1))
+        start = prev and (TupleSpec((n,), (m - 1, n - m + 1)), prev)
+        _QBINOM[n, m] = d_polynomial(TupleSpec((n,), (m, n - m)), start)
+    return _QBINOM[n, m]
+
+
+def _exponents(t: TupleSpec) -> Iterator[int]:
+    """The exponents of `ratio_exponents`, zeros included, for ell = 2, 3, ... lazily."""
+    ells = range(2, t.max_entry + 1)
+    exps = repeat(0)
+    for xs, op in ((t.a, add), (t.b, sub)):
+        for x in xs:
+            exps = map(op, exps, map(floordiv, repeat(x), ells))
+    return exps
 
 
 def ratio_exponents(t: TupleSpec) -> dict[int, int]:
@@ -86,32 +101,28 @@ def ratio_exponents(t: TupleSpec) -> dict[int, int]:
     Keyed by ell in 2..the largest tuple entry (every exponent above it is
     zero); zero exponents are not stored.
     """
-    ells = range(2, t.max_entry + 1)
-    exps = repeat(0)
-    for xs, op in ((t.a, add), (t.b, sub)):
-        for x in xs:
-            exps = map(op, exps, map(floordiv, repeat(x), ells))
-    return {ell: e for ell, e in zip(ells, exps) if e}
+    return {ell: e for ell, e in enumerate(_exponents(t), start=2) if e}
 
 
-def scaled_ratios(t: TupleSpec, n_max: int) -> Iterator[IntPoly]:
-    """D_n, the ratio of t.scaled(n), for n = 1..n_max, each grown from D_{n-1}.
+def ratio_chain(specs: Iterable[TupleSpec], start: tuple | None = None) -> Iterator[IntPoly]:
+    """The ratio of each spec in turn, each grown from the one before it.
 
-    With D_0 = 1, D_n / D_{n-1} is prod_k (1 - q^k)^{c_k} (1 - q)^{sum(b) - sum(a)},
-    where c_k counts the a-entries x with (n-1)x < k <= nx less the same count
-    over b (at n = 1, c_k = #{a_i >= k} - #{b_j >= k}).  As a product of Phi_ell
-    with ell >= 2, D_n is palindromic, so only its coefficients below
-    q^{deg//2 + 1} are computed, from D_{n-1}'s, and the rest are mirrored.
-    Modulo that power of q, multiplying by (1 - q^k) is one shifted subtract and
-    dividing by it is a running sum along each residue class mod k; no
-    polynomial multiplication.
+    The first grows from start, a pair (spec, its ratio), or else from 1.
+    With D' the ratio of the spec p before spec s, D_s / D' is
+    prod_k (1 - q^k)^{c_k} (1 - q)^{-e}: c_k counts the entries >= k of s.a
+    and p.b less those of s.b and p.a, and e sums those entries with the same
+    signs.  Index neighbours differ in few factors: about sum(a) + sum(b) for
+    D_n and D_{n-1} (`scaled_ratios`), two for [n over m] and [n over m-1].
+    A product of Phi_ell with ell >= 2 is palindromic, so only the
+    coefficients below q^{deg//2 + 1} are computed, from D''s, and the rest
+    are mirrored.  Modulo that power of q, multiplying by (1 - q^k) is one
+    shifted subtract and dividing by it is a running sum along each residue
+    class mod k; no polynomial multiplication.
 
-    The powers c_k are read off the breakpoints of the entry ranges: each
-    a-entry adds +1 at the start (n-1)x + 1 of its range and -1 just past
-    its end, each b-entry the opposite, so c_k is constant between two
-    consecutive breakpoints.  A walk over the sorted breakpoints keeps that
-    running level and stores each nonzero run at once with `dict.fromkeys`,
-    so the Python-level work grows with the number of entries, not of k.
+    c_k is read off breakpoints: each entry x adds its sign at 1 and takes it
+    back at x + 1.  A walk over the sorted breakpoints keeps that running
+    level and stores each nonzero run at once with `dict.fromkeys`, so the
+    Python-level work grows with the number of entries, not of k.
 
     Every step is exact in the ring of power series truncated at that power,
     where the factors commute and each (1 - q^k) is a unit, so neither the
@@ -127,32 +138,27 @@ def scaled_ratios(t: TupleSpec, n_max: int) -> Iterator[IntPoly]:
       k-block to the next (about size/k slices of k), so that the loop has
       the fewer and longer slices either way.
 
-    Seeding and mirroring are exact only while D_n is a polynomial, so every n
-    is checked by `ratio_exponents` first: the first failing n raises
-    NotPolynomial, carrying that n and the smallest offending ell.
+    Seeding and mirroring are exact only while every ratio is a polynomial,
+    so each spec is first checked by one C-level min over its exponents; the
+    first failing one raises NotPolynomial with its index n (from 1) and the
+    smallest offending ell.
     """
-    seed = [1]
-    for n in range(1, n_max + 1):
-        s = t.scaled(n)
-        exps = ratio_exponents(s)
-        bad = min((ell for ell, e in exps.items() if e < 0), default=None)
-        if bad is not None:
-            raise NotPolynomial(
-                f"ratio {s.a}/{s.b} is not a polynomial: exponent of Phi_{bad} is {exps[bad]}",
-                ell=bad,
-                n=n,
-            )
+    (pa, pb), poly = start or (((), ()), IntPoly.one())
+    seed = poly.coeffs
+    for n, s in enumerate(specs, start=1):
+        if min(_exponents(s), default=0) < 0:
+            exps = ratio_exponents(s)
+            bad = min(ell for ell, e in exps.items() if e < 0)
+            msg = f"ratio {s.a}/{s.b} is not a polynomial: exponent of Phi_{bad} is {exps[bad]}"
+            raise NotPolynomial(msg, ell=bad, n=n)
         size = s.degree // 2 + 1
-        series = seed[:size] + [0] * (size - len(seed))
-        # breakpoints of the entry ranges, cut at size: factors with k >= size
-        # are 1 modulo q^size
-        steps: dict[int, int] = {}
-        for xs, sign in ((t.a, 1), (t.b, -1)):
+        series = [*seed[:size], *repeat(0, size - len(seed))]
+        # breakpoints, cut at size: factors with k >= size are 1 modulo q^size
+        steps = {1: len(s.a) - len(s.b) - len(pa) + len(pb)}
+        for xs, sign in ((s.a, -1), (s.b, 1), (pa, 1), (pb, -1)):
             for x in xs:
-                lo, hi = (n - 1) * x + 1, min(n * x + 1, size)
-                if lo < hi:
-                    steps[lo] = steps.get(lo, 0) + sign
-                    steps[hi] = steps.get(hi, 0) - sign
+                hi = min(x + 1, size)
+                steps[hi] = steps.get(hi, 0) + sign
         # power of 1 - q^k, keyed in ascending k; only nonzero runs are stored
         powers = {1: 0}
         level = 0
@@ -160,7 +166,7 @@ def scaled_ratios(t: TupleSpec, n_max: int) -> Iterator[IntPoly]:
             level += steps[lo]
             if level:
                 powers.update(dict.fromkeys(range(lo, hi), level))
-        powers[1] += t.sum_b - t.sum_a
+        powers[1] += s.sum_b - s.sum_a + sum(pa) - sum(pb)
         # (1 - q^2k) / (1 - q^k) = 1 + q^k: one pass in place of two
         for k in powers:
             pairs = min(-powers[k], powers.get(2 * k, 0))
@@ -183,11 +189,17 @@ def scaled_ratios(t: TupleSpec, n_max: int) -> Iterator[IntPoly]:
                         series[j : j + k] = map(add, series[j : j + k], series[j - k : j])
         seed = series + series[: s.degree + 1 - size][::-1]
         yield IntPoly(seed)
+        pa, pb = s
 
 
-def d_polynomial(t: TupleSpec) -> IntPoly:
-    """The ratio as a polynomial: the first item of `scaled_ratios`, which see."""
-    return next(scaled_ratios(t, 1))
+def scaled_ratios(t: TupleSpec, n_max: int) -> Iterator[IntPoly]:
+    """D_n, the ratio of t.scaled(n), for n = 1..n_max: `ratio_chain`, which see."""
+    return ratio_chain(map(t.scaled, range(1, n_max + 1)))
+
+
+def d_polynomial(t: TupleSpec, start: tuple[TupleSpec, IntPoly] | None = None) -> IntPoly:
+    """The ratio as a polynomial, grown from start if given: `ratio_chain`, which see."""
+    return next(ratio_chain((t,), start))
 
 
 def d_polynomial_naive(t: TupleSpec) -> IntPoly:

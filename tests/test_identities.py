@@ -1,11 +1,12 @@
 import json
+import random
 from math import comb
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qpositivity import cli, identities
+from qpositivity import cli, identities, qfactor
 from qpositivity.errors import IdentityViolation
 from qpositivity.identities import (
     b_poly_check,
@@ -23,8 +24,9 @@ from qpositivity.identities import (
     von_szily_classical,
     von_szily_q,
 )
+from qpositivity.landau import TupleSpec
 from qpositivity.polyring import IntPoly, to_image
-from qpositivity.qfactor import q_binomial
+from qpositivity.qfactor import d_polynomial_naive, q_binomial
 
 
 def reference_szily_sum(n, m, r, s, binom, shift):
@@ -250,11 +252,11 @@ class TestBorwein:
         for n in range(11):
             assert positivity_report(borwein_sum(n)).is_positive, n
 
-    def test_leaves_the_gaussian_cache_empty(self):
+    def test_leaves_the_gaussian_cache_empty(self, monkeypatch):
         # each row-2n Gaussian is read once, so caching it would only hold it
-        q_binomial.cache_clear()
+        monkeypatch.setattr(qfactor, "_QBINOM", {})
         borwein_sum(12)
-        assert q_binomial.cache_info().currsize == 0
+        assert len(qfactor._QBINOM) == 0
 
 
 class TestFoldedSums:
@@ -363,6 +365,7 @@ def test_report_flags_follow_from_coefficients(cs):
     assert rep.is_positive == (len(rep.negative_positions) == 0)
     assert rep.is_symmetric == (p.coeffs == p.coeffs[::-1])
     assert rep.degree == p.degree
+    assert rep.min_coeff == min(p.coeffs, default=0)
 
 
 @given(st.integers(0, 5), st.integers(0, 5))
@@ -418,6 +421,87 @@ class TestKroneckerImage:
         with pytest.raises(IdentityViolation):
             von_szily_q(2, 1)
         assert von_szily_q(0, 3) == q_binomial(6, 3) + 1  # q^0 divides anything
+
+
+@pytest.fixture
+def fresh_memos(monkeypatch):
+    """Empty factorial-ratio memos; the d_polynomial calls that got a start are listed."""
+    for owner, name in ((qfactor, "_QBINOM"), (identities, "_A_MEMO"), (identities, "_B_LAST")):
+        monkeypatch.setattr(owner, name, {})
+    grown = []
+    build = qfactor.d_polynomial
+
+    def counted(t, start=None):
+        if start is not None:
+            grown.append((start[0], t))
+        return build(t, start)
+
+    monkeypatch.setattr(qfactor, "d_polynomial", counted)
+    monkeypatch.setattr(identities, "d_polynomial", counted)
+    return grown
+
+
+# each direct route and the factorial ratio it builds, its zero entries dropped
+DIRECT_ROUTES = {
+    "q_binomial": (q_binomial, lambda n, m: ((n,), (m, n - m))),
+    "super_catalan_q_direct": (super_catalan_q_direct, lambda n, m: ((2 * n, 2 * m), (n, n + m, m))),
+    "b_poly_direct": (b_poly_direct, lambda n, m: ((2 * n, m), (n, 2 * m, n - m))),
+}
+
+
+def _from_scratch(num, den):
+    """The ratio by multiplying and dividing q-factorials: no memo, no neighbour."""
+    drop = lambda xs: tuple(x for x in xs if x) or (1,)
+    return d_polynomial_naive(TupleSpec(drop(num), drop(den)))
+
+
+class TestDirectMemos:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_any_request_order_gives_the_from_scratch_ratios(self, fresh_memos, seed):
+        cases = [
+            (name, n, m)
+            for name in DIRECT_ROUTES
+            for n in range(9)
+            for m in range(9 if name == "super_catalan_q_direct" else n + 1)
+        ]
+        random.Random(seed).shuffle(cases)
+        for name, n, m in cases:
+            route, ratio = DIRECT_ROUTES[name]
+            assert route(n, m) == _from_scratch(*ratio(n, m)), (name, n, m)
+        # a shuffled order still finds memoized neighbours for some misses
+        assert fresh_memos
+
+    def test_misses_grow_from_memoized_neighbours_only(self, fresh_memos):
+        q_binomial(9, 4)
+        q_binomial(9, 5)
+        super_catalan_q_direct(3, 2)
+        super_catalan_q_direct(4, 2)
+        super_catalan_q_direct(2, 3)  # its mirror A_(3,2) is memoized, but never a start
+        for m in range(4):
+            b_poly_direct(5, m)
+        b_poly_direct(6, 0)  # another row: from scratch
+        assert [(s.a, s.b, t.a, t.b) for s, t in fresh_memos] == [
+            ((9,), (4, 5), (9,), (5, 4)),
+            ((6, 4), (3, 5, 2), (8, 4), (4, 6, 2)),
+            ((10,), (5, 5), (10, 1), (5, 2, 4)),
+            ((10, 1), (5, 2, 4), (10, 2), (5, 4, 3)),
+            ((10, 2), (5, 4, 3), (10, 3), (5, 6, 2)),
+        ]
+        assert list(identities._B_LAST) == [(6, 0)]
+
+    def test_a_wrong_memo_entry_fails_the_super_catalan_check(self, fresh_memos):
+        assert super_catalan_check(3, 2)
+        identities._A_MEMO[3, 2] += IntPoly.monomial(3)
+        assert not super_catalan_check(3, 2)
+        # a mirror that agrees does not hide it: the recurrence and von Szily legs differ
+        identities._A_MEMO[2, 3] = identities._A_MEMO[3, 2]
+        assert not super_catalan_check(3, 2)
+
+    def test_a_rebound_gaussian_is_encoded_afresh(self, monkeypatch):
+        assert r_poly(2, 1, 1, 1) == IntPoly.monomial(2)
+        wrong = lambda n, m: q_binomial(n, m) + (1 if (n, m) == (4, 2) else 0)
+        monkeypatch.setattr(identities, "q_binomial", wrong)
+        assert not cli._verdict(lambda: r_poly(2, 1, 1, 1) == IntPoly.monomial(2))
 
 
 @pytest.fixture

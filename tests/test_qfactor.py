@@ -1,3 +1,4 @@
+import itertools
 import math
 import pickle
 import random
@@ -19,6 +20,7 @@ from qpositivity.qfactor import (
     q_binomial,
     q_factorial,
     q_integer,
+    ratio_chain,
     ratio_exponents,
     scaled_ratios,
 )
@@ -410,3 +412,83 @@ class TestChainPaths:
         monkeypatch.setattr(qfactor, "accumulate", counted)
         list(scaled_ratios(t, n_max))
         assert len(calls) == strides
+
+
+@st.composite
+def spec_walks(draw):
+    """A dominated spec, then up to five more, each one or two entry edits from the last.
+
+    An edit appends an entry to a side, replaces one, or drops one, so
+    degrees go up and down, and a later spec need not be a polynomial.
+    """
+    walk = [draw(dominated_specs)]
+    for _ in range(draw(st.integers(1, 5))):
+        sides = [list(walk[-1].a), list(walk[-1].b)]
+        for _ in range(draw(st.integers(1, 2))):
+            side = sides[draw(st.integers(0, 1))]
+            i = draw(st.integers(0, len(side)))
+            if i == len(side):
+                side.append(draw(entry))
+            elif len(side) > 1 and draw(st.booleans()):
+                del side[i]
+            else:
+                side[i] = draw(entry)
+        walk.append(TupleSpec(*sides))
+    return walk
+
+
+def _smallest_negative_ell(t):
+    """The least ell with sum(a_i // ell) < sum(b_j // ell), by the floor sum itself."""
+    ells = range(2, t.max_entry + 1)
+    return next(ell for ell in ells if sum(x // ell for x in t.a) < sum(x // ell for x in t.b))
+
+
+class TestRatioChain:
+    @settings(max_examples=150, deadline=None)
+    @given(spec_walks(), st.booleans())
+    # a non-polynomial spec in the middle: 1/(1 + q), after and before a Gaussian
+    @example([TupleSpec((4,), (2, 2)), TupleSpec((1, 1), (2,)), TupleSpec((4,), (2, 2))], False)
+    @example([TupleSpec((4,), (2, 2)), TupleSpec((1, 1), (2,)), TupleSpec((4,), (2, 2))], True)
+    def test_each_ratio_matches_the_naive_route(self, walk, seeded):
+        start = (walk[0], d_polynomial_naive(walk[0])) if seeded else None
+        specs = walk[1:] if seeded else walk
+        expected = []
+        for t in specs:
+            try:
+                expected.append(d_polynomial_naive(t))
+            except NotPolynomial:
+                break
+        chain = ratio_chain(specs, start)
+        assert list(itertools.islice(chain, len(expected))) == expected
+        if len(expected) == len(specs):
+            assert next(chain, None) is None
+        else:
+            with pytest.raises(NotPolynomial) as info:
+                next(chain)
+            bad = specs[len(expected)]
+            assert (info.value.n, info.value.ell) == (len(expected) + 1, _smallest_negative_ell(bad))
+
+    def test_a_failure_in_the_middle_names_its_index_and_ell(self):
+        specs = [TupleSpec((4,), (2, 2)), TupleSpec((6, 1, 1), (5, 3)), TupleSpec((12, 2, 2), (10, 6))]
+        chain = ratio_chain([*specs, TupleSpec((4,), (2, 2))])
+        assert next(chain) == IntPoly([1, 1, 2, 1, 1])
+        assert next(chain) == IntPoly([1, -1, 1])
+        with pytest.raises(NotPolynomial) as info:
+            next(chain)
+        assert (info.value.n, info.value.ell) == (3, 3)
+
+    def test_a_start_seeds_d_polynomial(self):
+        # [10 over 4] from [10 over 3] (two factors), and down from [10 over 5]
+        for m in (3, 5):
+            start = (TupleSpec((10,), (m, 10 - m)), q_binomial(10, m))
+            assert d_polynomial(TupleSpec((10,), (4, 6)), start) == d_polynomial_naive(
+                TupleSpec((10,), (4, 6))
+            )
+
+    def test_the_polynomiality_check_names_no_ell_on_success(self, monkeypatch):
+        # ratio_exponents only names a failing ell; a chain of polynomials never calls it
+        def no_call(t):
+            raise AssertionError("ratio_exponents called on a polynomial")
+
+        monkeypatch.setattr(qfactor, "ratio_exponents", no_call)
+        assert list(scaled_ratios(TupleSpec((30, 1), (15, 10, 6)), 3))[0].degree == 270
