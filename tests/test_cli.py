@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -13,10 +14,13 @@ from pathlib import Path
 import pytest
 
 import qpositivity
-from qpositivity import cli, identities, qfactor
+from qpositivity import (
+    cli, identities, identity_commands, qfactor, store, tuple_commands,
+)
 from qpositivity.errors import IdentityViolation
 from qpositivity.landau import TupleSpec
 from qpositivity.polyring import IntPoly
+from qpositivity.stats import poly_stats
 
 
 def run_cli(capsys, *argv):
@@ -39,6 +43,8 @@ LAZY = ("dataclasses", "inspect", "hashlib", "_hashlib", "csv", "tempfile", "sig
         "concurrent.futures.process", "multiprocessing", "fractions", "decimal")
 # The package's modules that a command which builds no polynomial must not load.
 POLYNOMIAL_MODULES = ("qpositivity.qfactor", "qpositivity.polyring", "qpositivity.identities")
+# The package's modules that landau and a plain enumerate load, besides cli.
+TUPLE_PATH = ("errors", "landau", "tuple_commands")
 # The package's own source directory, so that a `python -S` child finds it.
 SRC_ENV = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
 
@@ -181,11 +187,11 @@ class TestPolyStats:
         ids=["odd palindrome", "even palindrome", "not a palindrome", "zero", "constant"],
     )
     def test_coefficients_are_the_decimal_strings(self, coeffs):
-        stats = cli._poly_stats(IntPoly(coeffs), full=True)
+        stats = poly_stats(IntPoly(coeffs), full=True)
         assert stats["coefficients"] == [str(c) for c in coeffs]
 
     def test_num_terms_skips_interior_zeros(self):
-        assert cli._poly_stats(IntPoly([1, 0, 0, 1]), full=False)["num_terms"] == 2
+        assert poly_stats(IntPoly([1, 0, 0, 1]), full=False)["num_terms"] == 2
 
 
 class TestSweepCommand:
@@ -313,6 +319,46 @@ class TestSweepCommand:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "[]"
+
+    @pytest.mark.parametrize(
+        "argv, modules",
+        [
+            (None, ()),
+            (["--help"], ()),
+            (["sweep", "--help"], ()),
+            (["landau", "--a", "30,1", "--b", "15,10,6"], TUPLE_PATH),
+            (["enumerate", "--r", "2", "--s", "3", "--sum-bound", "12", "--balanced"],
+             TUPLE_PATH),
+            (["landau", "--a", "2", "--b", "1,1", "--out", "OUT"], (*TUPLE_PATH, "store")),
+            (["dpoly", "--a", "2", "--b", "1,1", "--n", "2"],
+             (*TUPLE_PATH, "polyring", "qfactor", "stats")),
+            (["identities", "--max-n", "2"],
+             ("errors", "identities", "identity_commands", "landau", "polyring", "qfactor")),
+            (["rpoly", "--n", "1", "--m", "1", "--r", "1", "--s", "1"],
+             ("errors", "identities", "identity_commands", "landau", "polyring", "qfactor",
+              "stats")),
+        ],
+        ids=["import", "help", "command-help", "landau", "enumerate", "out", "dpoly",
+             "identities", "rpoly"],
+    )
+    def test_each_run_loads_only_its_modules(self, tmp_path, argv, modules):
+        # the package, the cli, and the given modules: no other command's module, no store
+        # without --out, and nothing that builds a polynomial in a run that builds none
+        if argv is not None:
+            argv = [str(tmp_path) if arg == "OUT" else arg for arg in argv]
+        run = "pass" if argv is None else f"cli.main({argv!r} + ['--jobs', '1'])"
+        code = (
+            "import sys, qpositivity.cli as cli\n"
+            f"try:\n    {run}\nexcept SystemExit:  # --help exits\n    pass\n"
+            "print(sorted(m for m in sys.modules if m.startswith('qpositivity.')))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60,
+            env=SRC_ENV,
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = sorted(f"qpositivity.{name}" for name in ("cli", *modules))
+        assert proc.stdout.splitlines()[-1] == repr(loaded)
 
     def test_every_public_name_resolves(self):
         # a fresh interpreter, so each name is looked up through the package's lazy hook
@@ -445,17 +491,17 @@ class TestDegreeGuard:
             raise AssertionError("D must be sized before the Landau scan")
 
         monkeypatch.setattr(qfactor, "d_polynomial", no_build)
-        monkeypatch.setattr(cli, "landau_check", no_scan)
+        monkeypatch.setattr(tuple_commands, "landau_check", no_scan)
         assert cli.main(list(argv)) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"above the cap of {cli.MAX_DEGREE}" in captured.err
+        assert f"above the cap of {tuple_commands.MAX_DEGREE}" in captured.err
 
     def test_cap_is_inclusive(self):
         # D_500 of (2)/(1,1) has degree 500**2 = MAX_DEGREE exactly
-        cli._check_degree(TupleSpec((2,), (1, 1)), 500)
+        tuple_commands._check_degree(TupleSpec((2,), (1, 1)), 500)
         with pytest.raises(cli._UsageError):
-            cli._check_degree(TupleSpec((2,), (1, 1)), 501)
+            tuple_commands._check_degree(TupleSpec((2,), (1, 1)), 501)
 
     @pytest.mark.parametrize(
         "argv, entry",
@@ -478,14 +524,14 @@ class TestDegreeGuard:
         )
         assert proc.returncode == 1
         assert proc.stdout == ""
-        assert f"largest entry {entry}, above the cap of {cli.MAX_DEGREE}" in proc.stderr
+        assert f"largest entry {entry}, above the cap of {tuple_commands.MAX_DEGREE}" in proc.stderr
 
     def test_entry_cap_is_inclusive(self, capsys):
         top, over = TupleSpec((250000,), (249999, 706)), TupleSpec((250001,), (250000, 707))
         assert over.degree == 429
-        cli._check_degree(top, 1)
+        tuple_commands._check_degree(top, 1)
         with pytest.raises(cli._UsageError):
-            cli._check_degree(over, 1)
+            tuple_commands._check_degree(over, 1)
         assert cli.main(["landau", "--a", "250000", "--b", "249999,706"]) == 0
         assert cli.main(["landau", "--a", "250001", "--b", "250000,707"]) == 1
         capsys.readouterr()
@@ -561,10 +607,13 @@ class TestSizeCaps:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (("borwein", "--n-max", "80"), f"--n-max is capped at {cli.MAX_BORWEIN_N}"),
+            (
+                ("borwein", "--n-max", "80"),
+                f"--n-max is capped at {identity_commands.MAX_BORWEIN_N}",
+            ),
             (
                 ("rpoly", "--n", "40", "--m", "40", "--r", "3", "--s", "3"),
-                f"is 9600, above the cap of {cli.MAX_RPOLY_SIZE}",
+                f"is 9600, above the cap of {identity_commands.MAX_RPOLY_SIZE}",
             ),
         ],
         ids=["borwein", "rpoly"],
@@ -584,21 +633,21 @@ class TestSizeCaps:
     def test_caps_are_inclusive(self, capsys, monkeypatch):
         monkeypatch.setattr(identities, "borwein_sum", lambda n: IntPoly.one())
         monkeypatch.setattr(identities, "r_poly", lambda n, m, r, s: IntPoly.one())
-        top = str(cli.MAX_BORWEIN_N)
+        top = str(identity_commands.MAX_BORWEIN_N)
         assert cli.main(["borwein", "--n-max", top]) == 0
-        assert cli.main(["borwein", "--n-max", str(cli.MAX_BORWEIN_N + 1)]) == 1
+        assert cli.main(["borwein", "--n-max", str(identity_commands.MAX_BORWEIN_N + 1)]) == 1
         # 10 * 20**2 == MAX_RPOLY_SIZE
         assert cli.main(["rpoly", "--n", "20", "--m", "0", "--r", "10", "--s", "1"]) == 0
         assert cli.main(["rpoly", "--n", "20", "--m", "1", "--r", "10", "--s", "1"]) == 1
         capsys.readouterr()
 
     def test_b_table_cap_is_inclusive(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "enumerate_tuples", lambda *args, **kwargs: iter(()))
+        monkeypatch.setattr(tuple_commands, "enumerate_tuples", lambda *args, **kwargs: iter(()))
         argv = ["enumerate", "--r", "5", "--s", "6", "--sum-bound", "64"]
         assert cli.main(argv) == 0  # 203,177 b-tuples, under the cap
-        monkeypatch.setattr(cli, "MAX_B_TUPLES", 203_177)
+        monkeypatch.setattr(tuple_commands, "MAX_B_TUPLES", 203_177)
         assert cli.main(argv) == 0
-        monkeypatch.setattr(cli, "MAX_B_TUPLES", 203_176)
+        monkeypatch.setattr(tuple_commands, "MAX_B_TUPLES", 203_176)
         assert cli.main(argv) == 1
         assert "203177 b-tuples, above the cap of 203176" in capsys.readouterr().err
 
@@ -607,13 +656,13 @@ class TestSizeCaps:
         def build(*args, **kwargs):
             raise AssertionError("the b-table was built")
 
-        monkeypatch.setattr(cli, "enumerate_tuples", build)
+        monkeypatch.setattr(tuple_commands, "enumerate_tuples", build)
         started = time.process_time()
         assert cli.main(["enumerate", "--r", "11", "--s", "12", "--sum-bound", "64"]) == 1
         assert time.process_time() - started < 0.1
         out, err = capsys.readouterr()
         assert out == ""
-        assert f"951529 b-tuples, above the cap of {cli.MAX_B_TUPLES}" in err
+        assert f"951529 b-tuples, above the cap of {tuple_commands.MAX_B_TUPLES}" in err
 
 
 class TestBorweinAndRpoly:
@@ -660,7 +709,7 @@ class TestBorweinAndRpoly:
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(640)
         try:
-            rec = cli._tuple_sweep_record(({}, (2,), (1, 1), 1, True))
+            rec = tuple_commands._tuple_sweep_record(({}, (2,), (1, 1), 1, True))
             lifted = sys.get_int_max_str_digits()
         finally:
             sys.set_int_max_str_digits(limit)
@@ -736,13 +785,46 @@ class TestFlagsPerCommand:
     def test_a_flag_the_command_reads_parses(self, command, flag):
         args = cli._build_parser().parse_args([command, *MINIMAL_ARGS[command], flag])
         assert getattr(args, flag[2:]) is True
-        assert cli._cache_key(args)[flag[2:]] is True
+        assert store._cache_key(args)[flag[2:]] is True
 
     @pytest.mark.parametrize("command", MINIMAL_ARGS)
     def test_the_out_key_holds_only_flags_the_command_takes(self, command):
         args = cli._build_parser().parse_args([command, *MINIMAL_ARGS[command]])
         for flag, commands in TAKES.items():
-            assert (flag[2:] in cli._cache_key(args)) == (command in commands)
+            assert (flag[2:] in store._cache_key(args)) == (command in commands)
+
+
+# Every option of each command, as its --help lists them.
+COMMON_OPTIONS = ("--help", "--format", "--out", "--jobs", "--no-timing")
+OPTIONS = {
+    "landau": ("--raw", "--a", "--b"),
+    "dpoly": ("--raw", "--a", "--b", "--n"),
+    "sweep": ("--full", "--raw", "--a", "--b", "--n-max"),
+    "enumerate": ("--full", "--r", "--s", "--sum-bound", "--balanced", "--sweep-n"),
+    "identities": ("--max-n",),
+    "borwein": ("--full", "--n-max"),
+    "rpoly": ("--n", "--m", "--r", "--s"),
+}
+
+
+class TestHelp:
+    def test_top_level_help_names_every_command(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            cli.main(["--help"])
+        assert info.value.code == 0
+        out = capsys.readouterr().out
+        assert "{" + ",".join(OPTIONS) + "}" in out
+        for command in OPTIONS:
+            assert re.search(rf"^    {command} ", out, re.MULTILINE), command
+
+    @pytest.mark.parametrize("command", OPTIONS)
+    def test_command_help_lists_every_option(self, capsys, command):
+        with pytest.raises(SystemExit) as info:
+            cli.main([command, "--help"])
+        assert info.value.code == 0
+        out = capsys.readouterr().out
+        assert set(re.findall(r"--[a-z][a-z-]*", out)) == {*COMMON_OPTIONS, *OPTIONS[command]}
+        assert out.startswith(f"usage: qpos {command} [-h]")
 
 
 class TestDeterminismAndCaching:
@@ -913,7 +995,7 @@ class TestDeterminismAndCaching:
         )
         first = run_raw(capsys, *args)
         (old,) = tmp_path.iterdir()
-        monkeypatch.setattr(cli, name, value)
+        monkeypatch.setattr(store, name, value)
         calls = _counting(monkeypatch, "sweep")
         assert run_raw(capsys, *args) == first
         assert len(calls) == 1
@@ -1083,6 +1165,27 @@ class TestStreaming:
         assert (path.stat().st_ino, path.stat().st_mtime_ns) == (
             written.st_ino, written.st_mtime_ns)
         path.unlink()
+
+    @pytest.mark.parametrize("printed", [1, 3])
+    def test_killed_run_has_stored_each_printed_record_whole(self, tmp_path, printed):
+        argv = [sys.executable, "-m", "qpositivity", *BIG_SWEEP, "--n-max", "20", "--no-timing",
+                "--out", str(tmp_path)]
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE)
+        seen = [json.loads(proc.stdout.readline()) for _ in range(printed)]
+        proc.kill()
+        proc.wait(timeout=60)
+        proc.stdout.close()
+        assert [rec["payload"]["n"] for rec in seen] == list(range(1, printed + 1))
+        (tmp,) = tmp_path.iterdir()
+        assert tmp.name.startswith(".tmp-")
+        # each record is written as one line and flushed before it is printed;
+        # only the line being written at the kill may be torn
+        *whole, _ = tmp.read_bytes().split(b"\n")
+        assert len(whole) >= printed
+        stored = [json.loads(line) for line in whole[:printed]]
+        for rec in stored:
+            del rec["elapsed_ms"]
+        assert stored == seen
 
     def test_interrupted_run_stores_nothing(self, tmp_path):
         argv = ("-m", "qpositivity", *BIG_SWEEP, "--n-max", "20", "--out", str(tmp_path))

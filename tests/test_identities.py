@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qpositivity import cli, identities, qfactor
+from qpositivity import cli, identities, identity_commands, qfactor
 from qpositivity.errors import IdentityViolation
 from qpositivity.identities import (
     b_poly_check,
@@ -501,7 +501,7 @@ class TestDirectMemos:
         assert r_poly(2, 1, 1, 1) == IntPoly.monomial(2)
         wrong = lambda n, m: q_binomial(n, m) + (1 if (n, m) == (4, 2) else 0)
         monkeypatch.setattr(identities, "q_binomial", wrong)
-        assert not cli._verdict(lambda: r_poly(2, 1, 1, 1) == IntPoly.monomial(2))
+        assert not identity_commands._verdict(lambda: r_poly(2, 1, 1, 1) == IntPoly.monomial(2))
 
 
 @pytest.fixture
@@ -569,7 +569,7 @@ class TestChecksCanFail:
             {"n": n, "m": m}
             for n in range(5)
             for m in range(5)
-            if not cli._verdict(super_catalan_check, n, m)
+            if not identity_commands._verdict(super_catalan_check, n, m)
         ]
         assert super_catalan and failures["super-catalan-three-way"] == super_catalan
 
@@ -599,6 +599,6 @@ class TestChecksCanFail:
             {"n": n, "m": m}
             for n in range(5)
             for m in range(5)
-            if not cli._verdict(lambda: r_poly(n, m, 1, 1) == IntPoly.monomial(n * m))
+            if not identity_commands._verdict(lambda: r_poly(n, m, 1, 1) == IntPoly.monomial(n * m))
         ]
         assert unit_shift and failures["r-unit-shift"] == unit_shift
