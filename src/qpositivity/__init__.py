@@ -25,8 +25,8 @@ _PUBLIC = {
     ),
     "polyring": "IntPoly PositivityReport cyclotomic positivity_report",
     "qfactor": (
-        "classical_ratio d_polynomial d_polynomial_naive q_binomial q_factorial q_integer"
-        " ratio_chain ratio_exponents scaled_ratios"
+        "classical_ratio d_polynomial d_polynomial_naive q_binomial q_factorial ratio_chain"
+        " ratio_exponents scaled_ratios"
     ),
 }
 _MODULE_OF = {name: module for module, names in _PUBLIC.items() for name in names.split()}

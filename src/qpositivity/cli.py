@@ -159,32 +159,41 @@ _DISPATCH = {
 
 # --- output ----------------------------------------------------------------
 
-_CSV_FIELDS = ("n", "degree", "num_terms", "min_coeff", "is_positive")
+_CSV_FIELDS = ("a", "b", "n", "degree", "num_terms", "min_coeff", "is_positive")
+
+# Where a record names the tuple of its rows; sweep's rows carry only the one as given.
+_CSV_TUPLE = {"enumerate": ("payload", ("a", "b")), "sweep": ("input", ("a", "b")),
+              "dpoly": ("payload", ("canonical_a", "canonical_b"))}
 
 
 def _csv_rows(rec: dict) -> list[dict]:
-    """Per-polynomial projection of one record; none if it has no coefficient stats."""
+    """Per-polynomial rows of one record (none without coefficient stats); a, b as "30,1"."""
     payload = rec["payload"]
     rows = payload.get("per_n", [payload] if "degree" in payload else [])
-    return [{k: row.get(k) for k in _CSV_FIELDS} for row in rows]
+    where, keys = _CSV_TUPLE.get(rec["command"], (None, ()))
+    tuple_columns = {col: ",".join(map(str, rec[where][key])) for col, key in zip("ab", keys)}
+    return [dict(tuple_columns, **{k: row.get(k) for k in _CSV_FIELDS[2:]}) for row in rows]
 
 
-def _emit(rec: dict, writer, no_timing: bool) -> None:
-    """Print one record, as CSV rows through writer if there is one, and flush it."""
+def _emit(rec: dict, writer, no_timing: bool, line: str | None) -> None:
+    """Print one record (line: its timed JSON, if the store made it) or its CSV rows; flush."""
     if writer is not None:
         writer.writerows(_csv_rows(rec))
+    elif no_timing:
+        print(json.dumps({k: v for k, v in rec.items() if k != "elapsed_ms"}, sort_keys=True))
     else:
-        if no_timing:
-            rec = {k: v for k, v in rec.items() if k != "elapsed_ms"}
-        print(json.dumps(rec, sort_keys=True))
+        print(line or json.dumps(rec, sort_keys=True))
     sys.stdout.flush()
 
 
 def _stamped(records, started: float):
-    """Each record with its elapsed_ms since the last was handled; a replayed one keeps its own."""
+    """(record, None), with elapsed_ms since the last was handled; the store fills in its line.
+
+    A replayed record keeps its own elapsed_ms.
+    """
     for rec in records:
         rec.setdefault("elapsed_ms", int((time.perf_counter() - started) * 1000))
-        yield rec
+        yield rec, None
         del rec  # a --full record is large: free it before the next is made
         started = time.perf_counter()
 
@@ -240,10 +249,10 @@ def _run(argv) -> int:
     try:
         if writer is not None:
             writer.writeheader()
-        for rec in records:
+        for rec, line in records:
             worst = max(worst, _STATUS_EXIT[rec["status"]])
-            _emit(rec, writer, args.no_timing)
-            del rec
+            _emit(rec, writer, args.no_timing, line)
+            del rec, line
     except BrokenPipeError:
         # The reader closed stdout: stop, and keep the exit-time flush from raising again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -1,4 +1,4 @@
-"""q-integers, q-factorials, Gaussian polynomials and factorial-ratio polynomials.
+"""q-factorials, Gaussian polynomials and factorial-ratio polynomials.
 
 A factorial ratio is named by a pair of positive-integer tuples (a, b), a
 ``landau.TupleSpec``: the numerator carries the factorials of the a-entries,
@@ -40,25 +40,18 @@ if TYPE_CHECKING:
     from fractions import Fraction
 
 
-def q_integer(n: int) -> IntPoly:
-    """The q-analogue of n: 1 + q + ... + q**(n-1).  Requires n >= 1."""
-    if n < 1:
-        raise ValueError("q_integer is defined for n >= 1")
-    return IntPoly((1,) * n)
-
-
 _QFACT: list[IntPoly] = [IntPoly.one()]
 
 
 def q_factorial(n: int) -> IntPoly:
-    """The q-factorial: product of q_integer(i) for i = 1..n (1 for n = 0).
+    """The q-factorial: product of 1 + q + ... + q**(i-1) for i = 1..n (1 for n = 0).
 
     Degree is n(n-1)/2.  Memoized; values are immutable and shared.
     """
     if n < 0:
         raise ValueError("q_factorial is defined for n >= 0")
     while len(_QFACT) <= n:
-        _QFACT.append(_QFACT[-1] * q_integer(len(_QFACT)))
+        _QFACT.append(_QFACT[-1] * IntPoly((1,) * len(_QFACT)))
     return _QFACT[n]
 
 
@@ -126,17 +119,13 @@ def ratio_chain(specs: Iterable[TupleSpec], start: tuple | None = None) -> Itera
 
     Every step is exact in the ring of power series truncated at that power,
     where the factors commute and each (1 - q^k) is a unit, so neither the
-    grouping nor the order of the passes can change the result:
-
-    * a denominator (1 - q^k) and a numerator (1 - q^2k) of the same step
-      cancel to 1 + q^k, one shifted add in place of a subtract pass and a
-      division (18% of the element operations of `qpos enumerate --r 2 --s 3
-      --sum-bound 16 --balanced --sweep-n 6`, whose tuples often hold both
-      x and 2x);
-    * a division runs the running sums stride by stride (k slices of about
-      size/k) when k*k < size, and otherwise block by block, adding each
-      k-block to the next (about size/k slices of k), so that the loop has
-      the fewer and longer slices either way.
+    grouping nor the order of the passes can change the result.  So a
+    denominator (1 - q^k) and a numerator (1 - q^2k) of the same step cancel
+    to 1 + q^k, one shifted add in place of a subtract pass and a division
+    (18% of the element operations of `qpos enumerate --r 2 --s 3
+    --sum-bound 16 --balanced --sweep-n 6`, whose tuples often hold both x
+    and 2x).  A division takes k slices, one per residue class, whatever k
+    is; a k near size leaves most of them one or two terms long.
 
     Seeding and mirroring are exact only while every ratio is a polynomial,
     so each spec is first checked by one C-level min over its exponents; the
@@ -181,12 +170,8 @@ def ratio_chain(specs: Iterable[TupleSpec], start: tuple | None = None) -> Itera
                 series[k:] = map(sub, series[k:], series[:-k])
         for k in reversed(powers):
             for _ in range(-powers[k]):
-                if k * k < size:
-                    for r in range(k):
-                        series[r::k] = accumulate(series[r::k])
-                else:
-                    for j in range(k, size, k):
-                        series[j : j + k] = map(add, series[j : j + k], series[j - k : j])
+                for r in range(k):
+                    series[r::k] = accumulate(series[r::k])
         seed = series + series[: s.degree + 1 - size][::-1]
         yield IntPoly(seed)
         pa, pb = s

@@ -94,9 +94,10 @@ class Store:
             return None
         return stored
 
-    def persist(self, records: Iterator[dict]) -> Iterator[dict]:
-        """records, each written whole to the temp file and flushed before it is passed on.
+    def persist(self, records: Iterator[tuple]) -> Iterator[tuple[dict, str]]:
+        """(record, its JSON line) for each (record, _), the line written whole and flushed first.
 
+        `cli` prints that same line on a timed JSON run, so a record is serialized once.
         Once records run out, the key goes last, marking the file whole, and the
         temp file is renamed to the stored path.  Closed or stopped early, this
         removes the temp file.
@@ -109,12 +110,15 @@ class Store:
                 pass
             fd, tmp = tempfile.mkstemp(dir=self.dir, prefix=".tmp-", suffix=".jsonl")
             with open(fd, "wb") as handle:
-                for rec in records:
-                    # One write and a flush per line: a record printed before a kill is whole here.
-                    handle.write((json.dumps(rec, sort_keys=True) + "\n").encode())
+                for rec, _ in records:
+                    # Flushed before it is printed: a record printed before a kill is whole here.
+                    # Two writes, so that no third copy of a large line (line + "\n") is made.
+                    line = json.dumps(rec, sort_keys=True)
+                    handle.write(line.encode())
+                    handle.write(b"\n")
                     handle.flush()
-                    yield rec
-                    del rec  # a --full record is large: free it before the next is made
+                    yield rec, line
+                    del rec, line  # a --full record is large: free it before the next is made
                 handle.write(self.key)
             os.replace(tmp, self.path)
             tmp = None

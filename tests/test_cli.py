@@ -405,8 +405,9 @@ class TestSweepCommand:
             capsys, "sweep", "--a", "2", "--b", "1,1", "--n-max", "3", "--format", "csv"
         )
         lines = out.strip().splitlines()
-        assert lines[0] == "n,degree,num_terms,min_coeff,is_positive"
-        assert lines[1:] == ["1,1,2,1,True", "2,4,5,1,True", "3,9,10,1,True"]
+        assert lines[0] == "a,b,n,degree,num_terms,min_coeff,is_positive"
+        assert lines[1:] == ['2,"1,1",1,1,2,1,True', '2,"1,1",2,4,5,1,True',
+                             '2,"1,1",3,9,10,1,True']
 
 
 class TestEnumerateCommand:
@@ -443,6 +444,24 @@ class TestEnumerateCommand:
             capsys, "sweep", "--a", a, "--b", b, "--n-max", "4", "--jobs", "1", *full
         )
         assert payload["per_n"] == [rec["payload"] for rec in sweep]
+
+    def test_csv_rows_name_their_tuple(self, capsys):
+        import csv
+
+        argv = ("enumerate", "--r", "2", "--s", "3", "--sum-bound", "9", "--balanced",
+                "--sweep-n", "3", "--jobs", "1", "--no-timing")
+        _, recs = run_cli(capsys, *argv)
+        _, out = run_raw(capsys, *argv, "--format", "csv")
+        rows = list(csv.DictReader(out.splitlines()))
+        expected = [
+            {"a": ",".join(map(str, rec["payload"]["a"])),
+             "b": ",".join(map(str, rec["payload"]["b"])),
+             **{k: str(row[k]) for k in ("n", "degree", "num_terms", "min_coeff", "is_positive")}}
+            for rec in recs
+            for row in rec["payload"]["per_n"]
+        ]
+        assert len({(row["a"], row["b"]) for row in rows}) == len(recs) > 1
+        assert rows == expected
 
     def test_sum_bound_cap(self, capsys):
         code = cli.main(
@@ -866,6 +885,24 @@ class TestDeterminismAndCaching:
         assert code == 0
         assert second == first
 
+    def test_timed_out_run_serializes_each_record_once(self, capsys, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return dumps(*args, **kwargs)
+
+        dumps = json.dumps
+        monkeypatch.setattr(json, "dumps", counted)
+        code, out = run_raw(capsys, "sweep", "--a", "2", "--b", "1,1", "--n-max", "4", "--full",
+                            "--out", str(tmp_path))
+        assert code == 0
+        (path,) = tmp_path.iterdir()
+        stored = path.read_text().splitlines()
+        # one per record and one for the key; each stored line is the printed one
+        assert len(calls) == 4 + 1
+        assert out.splitlines() == stored[:-1]
+
     def test_lazy_output_modules_in_a_fresh_interpreter(self, tmp_path):
         # A fresh -S interpreter: no module pytest loaded can stand in for a
         # missing import of csv, hashlib or tempfile on this path.
@@ -1098,9 +1135,9 @@ class TestStreaming:
             events.append("decided")
             return holds(a, b)
 
-        def emitted(rec, writer, no_timing):
+        def emitted(*args):
             events.append("emitted")
-            emit(rec, writer, no_timing)
+            emit(*args)
 
         monkeypatch.setattr(landau, "_holds", decided)
         monkeypatch.setattr(cli, "_emit", emitted)

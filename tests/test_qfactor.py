@@ -19,7 +19,6 @@ from qpositivity.qfactor import (
     d_polynomial_naive,
     q_binomial,
     q_factorial,
-    q_integer,
     ratio_chain,
     ratio_exponents,
     scaled_ratios,
@@ -108,19 +107,6 @@ class TestRecords:
             assert hash(make()) == hash(make())
 
 
-class TestQInteger:
-    def test_values(self):
-        assert q_integer(1) == IntPoly([1])
-        assert q_integer(3) == IntPoly([1, 1, 1])
-
-    def test_at_one(self):
-        assert q_integer(4).evaluate(1) == 4
-
-    def test_rejects_zero(self):
-        with pytest.raises(ValueError):
-            q_integer(0)
-
-
 class TestQFactorial:
     def test_empty_product(self):
         assert q_factorial(0) == IntPoly.one()
@@ -135,6 +121,16 @@ class TestQFactorial:
     def test_degree(self):
         for n in range(12):
             assert q_factorial(n).degree == n * (n - 1) // 2
+
+    def test_each_quotient_is_a_q_integer(self):
+        for n in range(1, 12):
+            quotient = q_factorial(n).divide_exact(q_factorial(n - 1))
+            assert quotient == IntPoly((1,) * n)
+            assert quotient.evaluate(1) == n
+
+    def test_rejects_negative(self):
+        with pytest.raises(ValueError):
+            q_factorial(-1)
 
 
 class TestQBinomial:
@@ -178,7 +174,7 @@ class TestQBinomial:
     def test_deep_triangle_does_not_recurse(self, monkeypatch):
         monkeypatch.setattr(identities, "_IMAGES", {})
         n = sys.getrecursionlimit() + 200
-        image = to_image(q_integer(n).coeffs, 64)
+        image = to_image(IntPoly((1,) * n).coeffs, 64)
         assert identities._binomial_image(n, 1, 64) == image
         assert identities._binomial_image(n, n - 1, 64) == image
 
@@ -371,9 +367,9 @@ CHAIN_PATHS = {
     "unbalanced": TupleSpec((2, 2), (1,)),
     # k = 2 at n = 1, then k = 4, 5, 6 and 7, 8, 9, beside stride divisions
     "pairs at n >= 2": TupleSpec((6, 1), (3, 2, 2)),
-    # blocks alone: k = 2 into size 3, then k = 3 into size 5 (one short block each)
+    # short strides alone: k = 2 into size 3, then k = 3 into size 5 (k > size/2 each time)
     "one block, size - k < k": TupleSpec((2,), (1, 1)),
-    # k = 3 into size 9 (whole blocks), k = 4 into 9 and 5, 6 into 19 (a short last block)
+    # k = 3 into size 9 (strides of 3), k = 4 into 9 (of 3 and 2), 5 and 6 into 19 (of 4 and 3)
     "blocks, size not a multiple of k": TupleSpec((4,), (2, 2)),
 }
 
@@ -392,26 +388,12 @@ class TestChainPaths:
         for n, poly in enumerate(scaled_ratios(t, 3), start=1):
             assert poly == d_polynomial_naive(t.scaled(n)), n
 
-    @pytest.mark.parametrize(
-        "t, n_max, strides",
-        [
-            # k*k >= size at every division: no stride pass
-            (CHAIN_PATHS["one block, size - k < k"], 3, 0),
-            # size 6 at n = 1: k = 1 and k = 2 run 1 + 2 stride passes
-            (CHAIN_PATHS["pairs at n >= 2"], 1, 3),
-        ],
-    )
-    def test_long_strides_divide_by_blocks(self, monkeypatch, t, n_max, strides):
-        calls = []
-
-        def counted(values):
-            calls.append(values)
-            return accumulate(values)
-
-        accumulate = qfactor.accumulate
-        monkeypatch.setattr(qfactor, "accumulate", counted)
-        list(scaled_ratios(t, n_max))
-        assert len(calls) == strides
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_gaussian_row_divides_near_the_series_size(self, n):
+        # [n over m] grows from [n over m-1] by dividing by 1 - q^m; at m = n - 2
+        # the series holds m(n-m)//2 + 1 = m + 1 terms, so k = m is size - 1
+        row = [TupleSpec((n,), (m, n - m)) for m in range(1, n)]
+        assert list(ratio_chain(row)) == [d_polynomial_naive(t) for t in row]
 
 
 @st.composite
