@@ -122,15 +122,28 @@ class TestQFactorial:
         for n in range(12):
             assert q_factorial(n).degree == n * (n - 1) // 2
 
-    def test_each_quotient_is_a_q_integer(self):
-        for n in range(1, 12):
-            quotient = q_factorial(n).divide_exact(q_factorial(n - 1))
-            assert quotient == IntPoly((1,) * n)
-            assert quotient.evaluate(1) == n
-
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             q_factorial(-1)
+
+
+class TestQInteger:
+    """[n]_q = 1 + q + ... + q^(n-1), reached as the quotient [n]!/[n-1]!."""
+
+    @staticmethod
+    def quotient(n):
+        return q_factorial(n).divide_exact(q_factorial(n - 1))
+
+    def test_values(self):
+        assert self.quotient(1) == IntPoly([1])
+        assert self.quotient(3) == IntPoly([1, 1, 1])
+        for n in range(1, 12):
+            assert self.quotient(n) == IntPoly((1,) * n)
+
+    def test_at_one(self):
+        assert self.quotient(4).evaluate(1) == 4
+        for n in range(1, 12):
+            assert self.quotient(n).evaluate(1) == n
 
 
 class TestQBinomial:
