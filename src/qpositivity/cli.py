@@ -32,7 +32,8 @@ command runs:
   load them;
 * identities, borwein, rpoly: `identity_commands`, then `identities` (with
   qfactor, polyring and landau); borwein and rpoly also import `stats`;
-* --out: `store` (with hashlib, signal and tempfile); --format csv: csv.
+* --out: `store` (with hashlib, signal and tempfile); --format csv: csv, and
+  for sweep's rows `tuple_commands`, which resolves the tuple they are of.
 
 The size caps that refuse a run as a usage error before any work sit beside
 the checks that apply them, in `tuple_commands` and `identity_commands`.
@@ -161,17 +162,31 @@ _DISPATCH = {
 
 _CSV_FIELDS = ("a", "b", "n", "degree", "num_terms", "min_coeff", "is_positive")
 
-# Where a record names the tuple of its rows; sweep's rows carry only the one as given.
-_CSV_TUPLE = {"enumerate": ("payload", ("a", "b")), "sweep": ("input", ("a", "b")),
-              "dpoly": ("payload", ("canonical_a", "canonical_b"))}
+
+def _csv_tuple(rec: dict) -> tuple:
+    """(a, b), the tuple a record's rows were computed for; () if the record names none."""
+    payload = rec["payload"]
+    if rec["command"] == "enumerate":
+        return payload["a"], payload["b"]
+    if rec["command"] == "dpoly":
+        return payload["canonical_a"], payload["canonical_b"]
+    if rec["command"] == "sweep":
+        # sweep's records echo the tuple as given: resolve it as the sweep did
+        from .tuple_commands import _resolve_spec
+
+        echo = rec["input"]
+        spec, _ = _resolve_spec(echo["a"], echo["b"], echo["raw"])
+        return spec.a, spec.b
+    return ()
 
 
 def _csv_rows(rec: dict) -> list[dict]:
     """Per-polynomial rows of one record (none without coefficient stats); a, b as "30,1"."""
     payload = rec["payload"]
     rows = payload.get("per_n", [payload] if "degree" in payload else [])
-    where, keys = _CSV_TUPLE.get(rec["command"], (None, ()))
-    tuple_columns = {col: ",".join(map(str, rec[where][key])) for col, key in zip("ab", keys)}
+    if not rows:
+        return []
+    tuple_columns = {col: ",".join(map(str, side)) for col, side in zip("ab", _csv_tuple(rec))}
     return [dict(tuple_columns, **{k: row.get(k) for k in _CSV_FIELDS[2:]}) for row in rows]
 
 

@@ -34,9 +34,14 @@ derives W from coefficient bounds that never use the image:
 * the A and B recurrences have non-negative coefficients too; their value
   at q = 1 is the same recurrence run at W = 0, since 2**0 = 1.
 
-W is rounded up to a multiple of 64, so one image q-Pascal memo serves a
-whole run: the largest bound `qpos identities --max-n 16` meets is
-Sum_k C(32, 16+k)**2 = C(64, 32) < 2**61, so W = 64 throughout.  `r_poly`
+W is rounded up to a multiple of 32, and each W has its own image q-Pascal
+memo.  At `qpos identities --max-n` <= 16 two widths occur: the
+Chu-Vandermonde row, every inner sum of the double row and the q-binomial
+theorem are bounded by C(32, 16) < 2**30, so they run at W = 32; the double
+row's single sums, bounded by C(64, 16) < 2**49, run at W = 64; the super
+Catalan and B rows run at 32 or 64 by case, the largest bound being
+Sum_k C(32, 16+k)**2 = C(64, 32) < 2**61.  The command clears the memos
+after each row, so at most one row's memos are held at once.  `r_poly`
 shares no memo, so its widths are only rounded up to whole bytes.
 
 Alternating sums written over k in (-inf, inf) are clamped to the finite
@@ -49,6 +54,8 @@ same Gaussian product (as [N over M] = [N over N-M]) and the same sign, and
 binom(-k, 2) = binom(k, 2) + k, so each pair is one product p times
 q^{binom(k,2)} (1 + q^k), an identity of polynomials.  The q = 1 oracle
 `von_szily_classical` and the width bound `_szily_bound` still read every k.
+The Chu-Vandermonde sum with a = b is folded the same way: its k and c - k
+terms share the product [a over k][a over c-k].
 """
 
 from __future__ import annotations
@@ -106,7 +113,7 @@ def _binomial_image(n: int, m: int, w: int) -> int:
     return memo[n, m]
 
 
-def _width(*bounds: int, unit: int = 64) -> int:
+def _width(*bounds: int, unit: int = 32) -> int:
     """The least multiple of unit with 2**(W-1) above every bound."""
     return (max(bounds).bit_length() // unit + 1) * unit
 
@@ -351,15 +358,28 @@ def chu_vandermonde_check(a: int, b: int, c: int) -> bool:
     there the exponent k(b-c+k) is never negative.  Both sides take the value
     C(a+b, c) at q = 1, the right one by the classical Vandermonde identity,
     so that one number bounds the coefficients of both.
+
+    With a = b the window is symmetric about c/2 and the sum is folded: the
+    k and c - k terms share the product p = [a over k][a over c-k], and their
+    exponents k(a-c+k) and (c-k)(a-k) differ by a(c-2k), so together they are
+    q^{k(a-c+k)} (p + q^{a(c-2k)} p).  Each k < c/2 costs one product, and the
+    middle term k = c/2, for even c <= 2a, is added once.  The left side is
+    still the q-Pascal image of [2a over c].
     """
     if a < 0 or b < 0 or c < 0:
         raise ValueError("indices must be non-negative")
-    ks = range(max(0, c - b), min(a, c) + 1)
+    lo, hi = max(0, c - b), min(a, c)
     w = _width(comb(a + b, c))
-    rhs = sum(
-        (_binomial_image(a, k, w) * _binomial_image(b, c - k, w)) << w * k * (b - c + k)
-        for k in ks
-    )
+    term = lambda k: _binomial_image(a, k, w) * _binomial_image(b, c - k, w)
+    if a != b:
+        rhs = sum(term(k) << w * k * (b - c + k) for k in range(lo, hi + 1))
+    else:
+        rhs = 0
+        for k in range(lo, c // 2 + 1):
+            p = term(k)
+            if 2 * k < c:
+                p += p << w * a * (c - 2 * k)
+            rhs += p << w * k * (a - c + k)
     return _binomial_image(a + b, c, w) == rhs
 
 

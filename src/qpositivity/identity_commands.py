@@ -38,6 +38,7 @@ def _once_per_pair(check):
 
 
 def cmd_identities(args) -> Iterator[dict]:
+    from . import identities
     from .identities import (
         b_poly_check,
         chu_vandermonde_check,
@@ -56,6 +57,8 @@ def cmd_identities(args) -> Iterator[dict]:
     # whatever identities binds now, and the cases are generated lazily.
     # The pair memos last this call.  They are exact: super_catalan_check demands
     # direct(n, m) == direct(m, n), and both rows' other legs only swap factors.
+    # The image memos last one row: rows need different widths W, and a memo
+    # kept from an earlier row would be held beside this row's own.
     table = [
         ("super-catalan-three-way", ("n", "m"), itertools.product(span, span),
          _once_per_pair(super_catalan_check)),
@@ -73,6 +76,7 @@ def cmd_identities(args) -> Iterator[dict]:
         for count, case in enumerate(cases, start=1):
             if not _verdict(check, *case):
                 failures.append(dict(zip(keys, case)))
+        identities._IMAGES.clear()
         status = "ok" if not failures else "identity-violation"
         payload = {"identity": name, "cases": count, "failures": failures}
         yield _record("identities", dict(echo, identity=name), status, payload)

@@ -409,6 +409,16 @@ class TestSweepCommand:
         assert lines[1:] == ['2,"1,1",1,1,2,1,True', '2,"1,1",2,4,5,1,True',
                              '2,"1,1",3,9,10,1,True']
 
+    @pytest.mark.parametrize("raw", [(), ("--raw",)], ids=["canonical", "raw"])
+    def test_csv_rows_name_the_tuple_dpoly_names(self, capsys, raw):
+        # sweep echoes 1,2 / 1,1,1 as given; unless --raw its rows are of 2 / 1,1
+        argv = ("--a", "1,2", "--b", "1,1,1", "--format", "csv", *raw)
+        _, sweep = run_raw(capsys, "sweep", *argv, "--n-max", "3")
+        dpoly = [run_raw(capsys, "dpoly", *argv, "--n", str(n))[1].splitlines()[1]
+                 for n in (1, 2, 3)]
+        assert sweep.splitlines()[1:] == dpoly
+        assert dpoly[0].startswith('"1,2","1,1,1",' if raw else '2,"1,1",')
+
 
 class TestEnumerateCommand:
     def test_lists_tuples(self, capsys):
@@ -1069,12 +1079,15 @@ class TestDeterminismAndCaching:
         assert code == 0
         code, writing = _child_peak(*stored)
         assert code == 0
-        assert writing < 1.3 * bare
+        # about 1.07x; one more copy of each stored line, (line + "\n").encode(), is 1.26x
+        assert writing < 1.15 * bare
         (path,) = tmp_path.iterdir()
         written = path.stat()
         code, replaying = _child_peak(*stored)
         assert code == 0
-        assert replaying < 1.3 * bare
+        # about 1.18x, and 1.06x with MALLOC_MMAP_THRESHOLD_ fixed: the check pass
+        # raises glibc's mmap threshold, so the replay's large buffers go to the heap
+        assert replaying < 1.25 * bare
         # replayed: a recomputed run would os.replace the file with a new one
         assert (path.stat().st_ino, path.stat().st_mtime_ns) == (
             written.st_ino, written.st_mtime_ns)

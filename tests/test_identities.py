@@ -142,6 +142,12 @@ class TestSummationChecks:
     def test_chu_vandermonde_out_of_range_c(self):
         assert chu_vandermonde_check(2, 2, 5)  # both sides vanish
 
+    def test_folded_chu_vandermonde(self):
+        # a = b is summed in pairs k, c - k: odd and even c, c > a, and c > 2a
+        for a in range(27):
+            for c in range(2 * a + 2):
+                assert chu_vandermonde_check(a, a, c), (a, c)
+
     def test_widths_from_the_closed_form_equal_the_summed_ones(self, monkeypatch):
         # the summed bounds the checks once used, against the one C(., .) they use now
         span = range(17)
@@ -152,14 +158,14 @@ class TestSummationChecks:
                     summed = sum(comb(a, k) * comb(b, c - k) for k in ks)
                     old = identities._width(comb(a + b, c), summed)
                     assert old == identities._width(comb(a + b, c)), (a, b, c)
-        # every Chu-Vandermonde sum e_main_check checks is at W = 64, the one memo
+        # every Chu-Vandermonde sum e_main_check checks is at W = 32 or 64, one memo each
         width, widths = identities._width, []
         monkeypatch.setattr(identities, "_width", lambda *bs: widths.append(width(*bs)) or widths[-1])
         monkeypatch.setattr(identities, "_IMAGES", {})
         assert all(e_main_check(n, p) for n in span for p in span)
         assert len(widths) == len(span) * sum(p + 2 for p in span)  # the single sum, p + 1 inner
-        assert set(widths) == {64}
-        assert set(identities._IMAGES) == {64}
+        assert set(widths) == {32, 64}
+        assert set(identities._IMAGES) == {32, 64}
 
     def test_e_main_small(self):
         assert all(e_main_check(n, p) for n in range(6) for p in range(6))
@@ -399,8 +405,9 @@ class TestKroneckerImage:
         assert identities._decode(to_image(p.coeffs, 64), 64) == p
 
     def test_width_keeps_bounds_below_half_a_digit(self):
-        assert identities._width(0) == identities._width(2**63 - 1) == 64
-        assert identities._width(2**63) == 128
+        assert identities._width(0) == identities._width(2**31 - 1) == 32
+        assert identities._width(2**31) == identities._width(2**63 - 1) == 64
+        assert identities._width(2**63) == 96
         # the largest bound `identities --max-n 16` meets
         assert identities._szily_bound(16, 16, 1, 1) == comb(64, 32)
         assert identities._width(comb(64, 32)) == 64
@@ -506,16 +513,26 @@ class TestDirectMemos:
 
 @pytest.fixture
 def broken_image(monkeypatch, request):
-    """The W = 64 image memo with one Gaussian off by 1: [2 over 1] = 2 + q
-    instead of 1 + q, or the entry given as the fixture's parameter."""
+    """Image memos with one Gaussian off by 1: [2 over 1] = 2 + q instead of
+    1 + q, or the entry given as the fixture's parameter.
+
+    Every memo is made broken, at any W and each time a row refills one: it
+    holds [n over n//2] for n <= 16, and then the wrong entry.
+    """
     entry = getattr(request, "param", (2, 1))
-    memo = {}
-    monkeypatch.setattr(identities, "_IMAGES", {64: memo})
+
+    class Broken(dict):
+        def setdefault(self, w, default=None):
+            if w not in self:
+                self[w] = {}
+                for n in range(17):
+                    identities._binomial_image(n, n // 2, w)
+                self[w][entry] += 1
+            return self[w]
+
+    monkeypatch.setattr(identities, "_IMAGES", Broken())
     identities._a_recur.cache_clear()
     identities._b_recur.cache_clear()
-    for n in range(17):
-        identities._binomial_image(n, n // 2, 64)
-    memo[entry] += 1
     yield
     identities._a_recur.cache_clear()
     identities._b_recur.cache_clear()
@@ -535,6 +552,11 @@ class TestChecksCanFail:
         assert chu_vandermonde_check(4, 4, 2)
         assert not chu_vandermonde_check(1, 3, 1)
         assert not e_main_check(2, 2)
+
+    @pytest.mark.parametrize("broken_image", [(4, 2)], ids=["4-over-2"], indirect=True)
+    def test_folded_chu_vandermonde_reads_the_middle_term(self, broken_image):
+        # of the a = b = 4, c = 4 sum, only the middle term k = 2 reads [4 over 2]
+        assert not chu_vandermonde_check(4, 4, 4)
 
     def test_cli_reports_the_failing_cases(self, broken_image, capsys):
         code = cli.main(["identities", "--max-n", "4", "--no-timing"])
