@@ -13,10 +13,14 @@ is an answer, not an error), 1 for usage errors and for a reader that closes
 stdout early (the run then stops quietly and writes no --out file), 2 when a
 negative coefficient was found, 3 on an internal identity violation.
 
-Each record is printed and flushed as soon as it is made.  Its elapsed_ms is
-the time from the previous record (or the start of the command) to this one:
-under --jobs 1 the time spent making it, under a worker pool the wait a
-reader sees.  Output is deterministic; `--no-timing` drops the elapsed_ms
+Each record is printed and flushed as soon as it is made, as the bytes of
+json.dumps(rec, sort_keys=True) and a newline, but written in pieces: its
+coefficient lists as joined chunks of decimal strings, the rest through
+json.dumps, gathered into writes of about 256 KiB.  So no whole line of a
+--full record (megabytes at n = 20) is ever made, by this module or by the
+--out store, which writes the same pieces.  A record's elapsed_ms is the time
+from the previous record (or the start of the command) to this one: under
+--jobs 1 the time spent making it, under a worker pool the wait a reader sees.  Output is deterministic; `--no-timing` drops the elapsed_ms
 field so two runs can be compared byte for byte.  `--out DIR` persists the
 records and replays them on an identical invocation (see `store`).
 Coefficients of any size are printed: the run lifts CPython's int -> str
@@ -32,7 +36,7 @@ command runs:
   load them;
 * identities, borwein, rpoly: `identity_commands`, then `identities` (with
   qfactor, polyring and landau); borwein and rpoly also import `stats`;
-* --out: `store` (with hashlib, signal and tempfile); --format csv: csv, and
+* --out: `store` (with zlib, signal and tempfile); --format csv: csv, and
   for sweep's rows `tuple_commands`, which resolves the tuple they are of.
 
 The size caps that refuse a run as a usage error before any work sit beside
@@ -190,24 +194,91 @@ def _csv_rows(rec: dict) -> list[dict]:
     return [dict(tuple_columns, **{k: row.get(k) for k in _CSV_FIELDS[2:]}) for row in rows]
 
 
-def _emit(rec: dict, writer, no_timing: bool, line: str | None) -> None:
-    """Print one record (line: its timed JSON, if the store made it) or its CSV rows; flush."""
+# A record's JSON is written in pieces gathered into writes of about _BATCH characters, a
+# coefficient list as joined chunks of _CHUNK strings, so that no whole line of a --full
+# record is ever made: at n = 20 a line runs to megabytes.
+_BATCH = 1 << 18
+_CHUNK = 256
+_MARK = "\0coefficients"  # no record holds this string
+_MARKED = json.dumps(_MARK)
+
+
+def _layout(rec: dict) -> tuple[list[str], list[list[str]]]:
+    """(segments, lists): json.dumps(rec, sort_keys=True) cut around its coefficient lists.
+
+    The lists are payload.coefficients and each per_n row's, in the order the line holds them.
+    """
+    lists = []
+
+    def marked(row: dict) -> dict:
+        if "coefficients" not in row:
+            return row
+        lists.append(row["coefficients"])
+        return dict(row, coefficients=_MARK)
+
+    payload = marked(rec["payload"])
+    if "per_n" in payload:
+        payload = dict(payload, per_n=[marked(row) for row in payload["per_n"]])
+    return json.dumps(dict(rec, payload=payload), sort_keys=True).split(_MARKED), lists
+
+
+def _pieces(layout: tuple[list[str], list[list[str]]]):
+    """The JSON line of a layout, newline included, in pieces; joined, they are the line.
+
+    Coefficients are decimal strings, so quotes are the only escaping they need.
+    """
+    segments, lists = layout
+    for segment, coefficients in zip(segments, lists):
+        yield segment
+        if not coefficients:
+            yield "[]"
+            continue
+        yield '["'
+        for start in range(0, len(coefficients), _CHUNK):
+            if start:
+                yield '", "'
+            yield '", "'.join(coefficients[start : start + _CHUNK])
+        yield '"]'
+    yield segments[-1] + "\n"
+
+
+def _untimed(pieces):
+    """A timed record's line without its elapsed_ms field, which follows "command" in the first piece."""
+    pieces = iter(pieces)
+    head = next(pieces)
+    start = head.index('"elapsed_ms": ')
+    yield head[:start] + head[head.index(", ", start) + 2 :]
+    yield from pieces
+
+
+def _write(pieces, write) -> None:
+    """write the pieces, joined into writes of at most _BATCH characters plus one piece."""
+    batch, size = [], 0
+    for piece in pieces:
+        batch.append(piece)
+        size += len(piece)
+        if size >= _BATCH:
+            write("".join(batch))
+            batch, size = [], 0
+    if batch:
+        write("".join(batch))
+
+
+def _emit(rec: dict, writer, no_timing: bool, pieces) -> None:
+    """Print one record (pieces: its timed line, if made already) or its CSV rows; flush."""
     if writer is not None:
         writer.writerows(_csv_rows(rec))
-    elif no_timing:
-        print(json.dumps({k: v for k, v in rec.items() if k != "elapsed_ms"}, sort_keys=True))
     else:
-        print(line or json.dumps(rec, sort_keys=True))
+        if pieces is None:
+            pieces = _pieces(_layout(rec))
+        _write(_untimed(pieces) if no_timing else pieces, sys.stdout.write)
     sys.stdout.flush()
 
 
 def _stamped(records, started: float):
-    """(record, None), with elapsed_ms since the last was handled; the store fills in its line.
-
-    A replayed record keeps its own elapsed_ms.
-    """
+    """(record, None), with elapsed_ms since the last was handled; the store fills in its pieces."""
     for rec in records:
-        rec.setdefault("elapsed_ms", int((time.perf_counter() - started) * 1000))
+        rec["elapsed_ms"] = int((time.perf_counter() - started) * 1000)
         yield rec, None
         del rec  # a --full record is large: free it before the next is made
         started = time.perf_counter()
@@ -243,18 +314,17 @@ def _run(argv) -> int:
             # The whole file is checked before any of it is printed, so a torn one prints nothing.
             records = store.replay()
         if records is None:
-            records = _DISPATCH[args.command](args)
-        else:
-            store = None  # a replayed run is already stored
-        # Every usage check runs before a command's first record, so pull that first.
-        started = time.perf_counter()
-        first = list(itertools.islice(records, 1))
+            computed = _DISPATCH[args.command](args)
+            # Every usage check runs before a command's first record, so pull that first.
+            started = time.perf_counter()
+            first = list(itertools.islice(computed, 1))
     except _UsageError as exc:
         print(f"qpos {args.command}: error: {exc}", file=sys.stderr)
         return 1
-    records = _stamped(itertools.chain(first, records), started)
-    if store is not None:
-        records = store.persist(records)
+    if records is None:
+        records = _stamped(itertools.chain(first, computed), started)
+        if store is not None:
+            records = store.persist(records)
     writer = None
     if args.format == "csv":
         import csv
@@ -264,10 +334,10 @@ def _run(argv) -> int:
     try:
         if writer is not None:
             writer.writeheader()
-        for rec, line in records:
+        for rec, pieces in records:
             worst = max(worst, _STATUS_EXIT[rec["status"]])
-            _emit(rec, writer, args.no_timing, line)
-            del rec, line
+            _emit(rec, writer, args.no_timing, pieces)
+            del rec, pieces
     except BrokenPipeError:
         # The reader closed stdout: stop, and keep the exit-time flush from raising again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

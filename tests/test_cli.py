@@ -67,6 +67,13 @@ def _with_records(*lines):
     return lambda text: "".join(line + "\n" for line in lines) + text.splitlines(True)[-1]
 
 
+def _flip_digit(text):
+    """A corruption that changes one digit of the first stored coefficient, keeping the JSON valid."""
+    at = text.index('"coefficients": ["') + len('"coefficients": ["')
+    at += text[at] == "-"
+    return text[:at] + str((int(text[at]) + 1) % 10) + text[at + 1 :]
+
+
 def _stored(path):
     """The records (without elapsed_ms) and the key stored at path."""
     *recs, key = map(json.loads, path.read_text().splitlines())
@@ -108,6 +115,12 @@ def _stdout_digest(argv):
 
 # A sweep whose --full records run to megabytes each (its n = 20 file is about 110 MB).
 BIG_SWEEP = ("sweep", "--a", "30,1", "--b", "15,10,6", "--full", "--jobs", "1")
+# Its first six rows: the last two lines (317 and 546 KB) are longer than one write.
+SWEEP_6 = (*BIG_SWEEP, "--n-max", "6")
+# sha256 of SWEEP_6's stdout under --no-timing, as printed when each line was made whole.
+SWEEP_6_SHA256 = "c8ebad503cbd978b053afa96cab2a48276da539b4946d1c6f65e14311b800d08"
+# A D_1 with a negative coefficient: its run exits 2.
+NEGATIVE_DPOLY = ("dpoly", "--a", "6,1,1", "--b", "5,3", "--n", "1")
 
 
 def _counting(monkeypatch, command):
@@ -915,7 +928,7 @@ class TestDeterminismAndCaching:
 
     def test_lazy_output_modules_in_a_fresh_interpreter(self, tmp_path):
         # A fresh -S interpreter: no module pytest loaded can stand in for a
-        # missing import of csv, hashlib or tempfile on this path.
+        # missing import of csv, zlib or tempfile on this path.
         argv = [sys.executable, "-S", "-m", "qpositivity", "dpoly", "--a", "2", "--b", "1,1",
                 "--n", "3", "--format", "csv", "--out", str(tmp_path)]
         first = subprocess.run(argv, capture_output=True, text=True, timeout=60, env=SRC_ENV)
@@ -967,6 +980,8 @@ class TestDeterminismAndCaching:
             _edit_cache(STALE, schema=0),
             _edit_cache(STALE, command="sweep"),
             _edit_cache(STALE, params={"a": [2], "b": [1, 1], "n": 1, "raw": False}),
+            # well-formed, under the right key, but not the bytes the run wrote
+            _flip_digit,
         ],
         ids=[
             "truncated",
@@ -981,6 +996,7 @@ class TestDeterminismAndCaching:
             "stored-schema-differs",
             "stored-command-differs",
             "stored-params-differ",
+            "flipped-coefficient-digit",
         ],
     )
     def test_corrupt_cache_is_recomputed(self, capsys, tmp_path, corrupt):
@@ -1057,6 +1073,19 @@ class TestDeterminismAndCaching:
         assert run_raw(capsys, *args)[0] == 2
         assert run_raw(capsys, *args)[0] == 2  # replayed from disk
 
+    @pytest.mark.parametrize("output", [(), ("--no-timing",), ("--format", "csv")],
+                             ids=["timed", "no-timing", "csv"])
+    @pytest.mark.parametrize("argv, code", [(SWEEP_6, 0), (NEGATIVE_DPOLY, 2)],
+                             ids=["sweep", "negative-found"])
+    def test_replay_prints_what_the_run_printed(self, capsys, tmp_path, monkeypatch, argv, code,
+                                                output):
+        args = (*argv, *output, "--out", str(tmp_path))
+        computed = run_raw(capsys, *args)
+        assert computed[0] == code
+        calls = _counting(monkeypatch, argv[0])
+        assert run_raw(capsys, *args) == computed
+        assert calls == []
+
     @pytest.mark.parametrize("target", ["taken", "taken/sub"])
     def test_out_that_is_not_a_directory_is_refused(self, capsys, tmp_path, monkeypatch, target):
         (tmp_path / "taken").write_text("keep\n")
@@ -1079,14 +1108,14 @@ class TestDeterminismAndCaching:
         assert code == 0
         code, writing = _child_peak(*stored)
         assert code == 0
-        # about 1.07x; one more copy of each stored line, (line + "\n").encode(), is 1.26x
+        # about 0.99x (30.2 against 30.5 MiB): the file gets the same bounded pieces as
+        # stdout; a sha256 from hashlib, which maps OpenSSL, made it 1.145x
         assert writing < 1.15 * bare
         (path,) = tmp_path.iterdir()
         written = path.stat()
         code, replaying = _child_peak(*stored)
         assert code == 0
-        # about 1.18x, and 1.06x with MALLOC_MMAP_THRESHOLD_ fixed: the check pass
-        # raises glibc's mmap threshold, so the replay's large buffers go to the heap
+        # about 0.51x (15.6 MiB): the check and the replay read blocks and parse no line
         assert replaying < 1.25 * bare
         # replayed: a recomputed run would os.replace the file with a new one
         assert (path.stat().st_ino, path.stat().st_mtime_ns) == (
@@ -1105,6 +1134,128 @@ class TestDeterminismAndCaching:
         with pytest.raises(RuntimeError):
             cli.main(["sweep", "--a", "2", "--b", "1,1", "--n-max", "3", *out])
         assert list(tmp_path.iterdir()) == []
+
+
+class _Recording:
+    """A stream that keeps each write, forwarding it to handle if one is given."""
+
+    def __init__(self, handle=None):
+        self.handle, self.writes = handle, []
+
+    def write(self, data):
+        self.writes.append(data)
+        return len(data) if self.handle is None else self.handle.write(data)
+
+    def flush(self):
+        if self.handle is not None:
+            self.handle.flush()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.handle.close()
+
+
+def _line(rec):
+    """The pieces of rec's JSON line, joined."""
+    return "".join(cli._pieces(cli._layout(rec)))
+
+
+def _write_bound(lines):
+    """The longest write the piece writer may make for these JSON lines: a batch and one chunk."""
+    recs = [json.loads(line) for line in lines]
+    longest = max(len(c) for rec in recs for c in rec["payload"].get("coefficients", ""))
+    return cli._BATCH + cli._CHUNK * (longest + len('", "'))
+
+
+# One argv of every command, each record of which is checked piece by piece.
+EVERY_COMMAND = [
+    ("landau", "--a", "30,1", "--b", "15,10,6"),
+    ("landau", "--a", "3", "--b", "2,2"),
+    NEGATIVE_DPOLY,
+    ("dpoly", "--a", "4", "--b", "3", "--n", "2"),
+    ("sweep", "--a", "30,1", "--b", "15,10,6", "--n-max", "3", "--full"),
+    ("sweep", "--a", "2", "--b", "1,1", "--n-max", "3"),
+    ("enumerate", "--r", "2", "--s", "3", "--sum-bound", "12", "--balanced"),
+    ("enumerate", "--r", "2", "--s", "3", "--sum-bound", "10", "--balanced", "--sweep-n", "3",
+     "--full", "--jobs", "1"),
+    ("enumerate", "--r", "2", "--s", "3", "--sum-bound", "10", "--balanced", "--sweep-n", "2",
+     "--jobs", "1"),
+    ("identities", "--max-n", "2"),
+    ("borwein", "--n-max", "4", "--full"),
+    ("rpoly", "--n", "2", "--m", "2", "--r", "2", "--s", "2"),
+]
+
+# Records made by hand: negative, empty and multi-chunk lists, per_n rows, and escapes.
+_ROW = {"n": 1, "degree": 2, "min_coeff": "-3", "is_positive": False}
+HAND_MADE = [
+    {"command": "dpoly", "input": {"a": [6, 1, 1]}, "status": "negative-found",
+     "payload": dict(_ROW, coefficients=["1", "-3", "1"])},
+    {"command": "rpoly", "input": {}, "status": "ok", "payload": dict(_ROW, coefficients=[])},
+    {"command": "dpoly", "input": {}, "status": "ok",
+     "payload": {"coefficients": [str(7 ** k - 10**6) for k in range(3 * cli._CHUNK + 1)]}},
+    {"command": "enumerate", "input": {"sweep_n": 3}, "status": "negative-found",
+     "payload": {"a": [2, 1], "negative_ns": [1], "per_n": [
+         dict(_ROW, coefficients=["-1", "0", "22"]), dict(_ROW, n=2, coefficients=[]),
+         dict(_ROW, n=3)]}},
+    {"command": "dpoly", "input": {"note": 'a "quoted" \\ caf\u00e9\n'}, "status": "not-polynomial",
+     "payload": {"reason": "\u2203 \t", "coefficients": ["5"]}},
+]
+
+
+class TestPieces:
+    @pytest.mark.parametrize("argv", EVERY_COMMAND, ids=lambda argv: " ".join(argv[:2]))
+    def test_pieces_of_every_command_are_its_json_line(self, argv):
+        recs = list(cli._DISPATCH[argv[0]](cli._build_parser().parse_args(list(argv))))
+        assert recs
+        for rec in recs:
+            timed = dict(rec, elapsed_ms=12)
+            assert _line(timed) == json.dumps(timed, sort_keys=True) + "\n"
+            untimed = "".join(cli._untimed(cli._pieces(cli._layout(timed))))
+            assert untimed == json.dumps(rec, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("rec", HAND_MADE, ids=["negative", "empty", "chunks", "per-n",
+                                                     "escapes"])
+    @pytest.mark.parametrize("elapsed_ms", [None, 0, 123456])
+    def test_pieces_of_a_hand_made_record_are_its_json_line(self, rec, elapsed_ms):
+        if elapsed_ms is not None:
+            rec = dict(rec, elapsed_ms=elapsed_ms)
+        assert _line(rec) == json.dumps(rec, sort_keys=True) + "\n"
+        if elapsed_ms is not None:
+            untimed = {k: v for k, v in rec.items() if k != "elapsed_ms"}
+            assert "".join(cli._untimed(cli._pieces(cli._layout(rec)))) == _line(untimed)
+
+    def test_stdout_writes_are_bounded(self, monkeypatch):
+        stdout = _Recording()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert cli.main([*SWEEP_6, "--no-timing"]) == 0
+        text = "".join(stdout.writes)
+        assert hashlib.sha256(text.encode()).hexdigest() == SWEEP_6_SHA256
+        lines = text.splitlines()
+        assert max(map(len, lines)) > cli._BATCH
+        assert max(map(len, stdout.writes)) <= _write_bound(lines)
+
+    def test_out_file_writes_are_bounded(self, capsys, tmp_path, monkeypatch):
+        files = []
+
+        def recording_open(file, mode="r", *args, **kwargs):
+            handle = open(file, mode, *args, **kwargs)
+            if "w" in mode:
+                files.append(_Recording(handle))
+                return files[-1]
+            return handle
+
+        monkeypatch.setattr(store, "open", recording_open, raising=False)
+        code, out = run_raw(capsys, *SWEEP_6, "--no-timing", "--out", str(tmp_path))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_6_SHA256
+        (written,), (path,) = files, tmp_path.iterdir()
+        assert b"".join(written.writes) == path.read_bytes()
+        lines = path.read_text().splitlines()[:-1]
+        assert max(map(len, lines)) > cli._BATCH
+        assert max(map(len, written.writes)) <= _write_bound(lines)
+        assert _stored(path)[0] == [json.loads(line) for line in out.splitlines()]
 
 
 class TestStreaming:
