@@ -1,9 +1,7 @@
 """The named q-identities, each computed by at least two independent routes.
 
-Every function here is an exact polynomial computation; equalities between
-routes (direct factorial ratio vs. recurrence vs. alternating sum) are what
-the test suite and the `identities` CLI command verify.  A mismatch means an
-implementation bug, never numerical noise.
+Every function is exact: the test suite and `qpos identities` check that the
+routes agree, and a mismatch is a bug, never numerical noise.
 
 The factorial-ratio routes (`super_catalan_q_direct`, `b_poly_direct` and
 `q_binomial`) use only the q-factorial product formula, by
@@ -26,8 +24,7 @@ nonzero coefficient c_j of P - Q has 0 < |c_j| < 2**W, so
 P(2**W) - Q(2**W) = 2**(W*j) * (c_j + 2**W * r) is not zero.  Every check
 derives W from coefficient bounds that never use the image:
 
-* a side given as an IntPoly (the factorial-ratio routes): its largest
-  |coefficient|;
+* a side given as an IntPoly (a factorial-ratio route): its largest |coefficient|;
 * a sum of products of Gaussian polynomials has non-negative coefficients,
   so its value at q = 1, a sum of products of `math.comb`, bounds them;
 * an alternating sum is bounded by the sum of its terms' values at q = 1;
@@ -40,22 +37,19 @@ Chu-Vandermonde row, every inner sum of the double row and the q-binomial
 theorem are bounded by C(32, 16) < 2**30, so they run at W = 32; the double
 row's single sums, bounded by C(64, 16) < 2**49, run at W = 64; the super
 Catalan and B rows run at 32 or 64 by case, the largest bound being
-Sum_k C(32, 16+k)**2 = C(64, 32) < 2**61.  The command clears the memos
-after each row, so at most one row's memos are held at once.  `r_poly`
-shares no memo, so its widths are only rounded up to whole bytes.
+Sum_k C(32, 16+k)**2 = C(64, 32) < 2**61.  `r_poly` shares no image memo,
+so its widths are only rounded up to whole bytes.  `MEMOS` names every memo
+of the package and the last `qpos identities` row that reads it: the command
+drops the image memos after each row and every other memo after its last
+row, and `drop_memos()` empties them all.
 
-Alternating sums written over k in (-inf, inf) are clamped to the finite
-window where the Gaussian factors are nonzero.  binom(k, 2) for negative k
-is k*(k-1)/2, so binom(-1, 2) = 1; Python's ** on -1 with a negative
-exponent returns a float, which is why signs are taken from k's parity.
+Alternating sums over k in (-inf, inf) are clamped to the window where the
+Gaussian factors are nonzero.  binom(k, 2) is k*(k-1)/2 for negative k too;
+signs are taken from k's parity, as (-1)**k is a float for k < 0.
 
-The von Szily and Borwein sums are folded: their k and -k terms carry the
-same Gaussian product (as [N over M] = [N over N-M]) and the same sign, and
-binom(-k, 2) = binom(k, 2) + k, so each pair is one product p times
-q^{binom(k,2)} (1 + q^k), an identity of polynomials.  The q = 1 oracle
-`von_szily_classical` and the width bound `_szily_bound` still read every k.
-The Chu-Vandermonde sum with a = b is folded the same way: its k and c - k
-terms share the product [a over k][a over c-k].
+The von Szily, Borwein and a = b Chu-Vandermonde sums add each pair of
+terms that share a Gaussian product as one (see `_szily_sum`); the q = 1
+oracle `von_szily_classical` and the width bound `_szily_bound` read every k.
 """
 
 from __future__ import annotations
@@ -64,6 +58,7 @@ from functools import cache
 from itertools import combinations
 from math import comb
 
+from . import polyring, qfactor
 from .errors import IdentityViolation, NotDivisible
 from .landau import TupleSpec
 from .polyring import IntPoly, PositivityReport, from_image, positivity_report, to_image
@@ -71,19 +66,16 @@ from .qfactor import d_polynomial, q_binomial, ratio_chain
 
 
 def _ratio_spec(num, den) -> TupleSpec:
-    """TupleSpec from raw index lists, dropping zero entries.
-
-    [0]! = 1 contributes nothing, but TupleSpec only allows positive
-    entries; an emptied side becomes (1,) for the same reason.
-    """
-    a = tuple(x for x in num if x) or (1,)
-    b = tuple(x for x in den if x) or (1,)
-    return TupleSpec(a, b)
+    """TupleSpec from raw index lists, dropping zero entries, as [0]! = 1; an
+    emptied side becomes (1,), since TupleSpec only allows positive entries."""
+    return TupleSpec(tuple(filter(None, num)) or (1,), tuple(filter(None, den)) or (1,))
 
 
-def _check_nm(n: int, m: int) -> None:
+def _check_nm(n: int, m: int, b_args: bool = False) -> None:
     if n < 0 or m < 0:
         raise ValueError("indices must be non-negative")
+    if b_args and m > n:
+        raise ValueError(f"B_(n,m) requires n >= m, got n={n}, m={m}")
 
 
 # --- the Kronecker image ---------------------------------------------------
@@ -147,16 +139,12 @@ def _decode(x: int, w: int) -> IntPoly:
     """The polynomial with image x at q = 2**w, all |coefficients| below 2**(w-1).
 
     With the top digit nonzero and every digit below 2**(w-1) in absolute
-    value, a d-digit image has between w*(d-1) and w*d - 1 bits, which gives
-    d.
+    value, a d-digit image has between w*(d-1) and w*d - 1 bits, which gives d.
     """
-    if not x:
-        return IntPoly.zero()
     return IntPoly(from_image(x, w, abs(x).bit_length() // w + 1))
 
 
 # --- super Catalan polynomials -------------------------------------------
-
 
 _A_MEMO: dict[tuple[int, int], IntPoly] = {}
 
@@ -231,10 +219,8 @@ def _szily_sum(n: int, m: int, w: int, term) -> int:
 
 def _szily_bound(n: int, m: int, r: int, s: int) -> int:
     """The terms of `_szily_sum` at q = 1, summed without their signs."""
-    return sum(
-        comb(2 * n, n + k) ** r * comb(2 * m, m + k) ** s
-        for k in range(-min(n, m), min(n, m) + 1)
-    )
+    ks = range(-min(n, m), min(n, m) + 1)
+    return sum(comb(2 * n, n + k) ** r * comb(2 * m, m + k) ** s for k in ks)
 
 
 def _von_szily_image(n: int, m: int, w: int) -> int:
@@ -244,10 +230,8 @@ def _von_szily_image(n: int, m: int, w: int) -> int:
     image is divisible by 2**(w*nm) exactly when its nm lowest coefficients
     vanish (the argument of the module docstring, against Q = 0).
     """
-    total = _szily_sum(
-        n, m, w, lambda k: _binomial_image(2 * n, n + k, w) * _binomial_image(2 * m, m + k, w)
-    )
-    shift = w * n * m
+    term = lambda k: _binomial_image(2 * n, n + k, w) * _binomial_image(2 * m, m + k, w)
+    total, shift = _szily_sum(n, m, w, term), w * n * m
     if shift and (not total or total & ((1 << shift) - 1)):
         raise IdentityViolation(
             f"von Szily sum for (n, m) = ({n}, {m}) is not divisible by q^{n * m}"
@@ -271,10 +255,8 @@ def von_szily_q(n: int, m: int) -> IntPoly:
 def von_szily_classical(n: int, m: int) -> int:
     """The q = 1 super Catalan number as the classical alternating sum."""
     _check_nm(n, m)
-    return sum(
-        (-1 if k % 2 else 1) * comb(2 * n, n + k) * comb(2 * m, m + k)
-        for k in range(-min(n, m), min(n, m) + 1)
-    )
+    ks = range(-min(n, m), min(n, m) + 1)
+    return sum((-1 if k % 2 else 1) * comb(2 * n, n + k) * comb(2 * m, m + k) for k in ks)
 
 
 def super_catalan_check(n: int, m: int) -> bool:
@@ -297,19 +279,12 @@ def super_catalan_check(n: int, m: int) -> bool:
 
 # --- the B family ---------------------------------------------------------
 
-
-def _check_b_args(n: int, m: int) -> None:
-    _check_nm(n, m)
-    if m > n:
-        raise ValueError(f"B_(n,m) requires n >= m, got n={n}, m={m}")
-
-
 _B_LAST: dict[tuple[int, int], IntPoly] = {}
 
 
 def b_poly_direct(n: int, m: int) -> IntPoly:
     """B_{n,m}(q) = [2n]![m]! / ([n]![2m]![n-m]!) for n >= m, grown from `_B_LAST` if of row n."""
-    _check_b_args(n, m)
+    _check_nm(n, m, b_args=True)
     spec = lambda i, j: _ratio_spec((2 * i, j), (i, 2 * j, i - j))
     start = next(((spec(*k), p) for k, p in _B_LAST.items() if k[0] == n), None)
     poly = d_polynomial(spec(n, m), start)
@@ -326,7 +301,7 @@ def b_poly_recurrence(n: int, m: int) -> IntPoly:
 
     with B_{n,n} = 1.  Terminates since k <= p/2 < p.
     """
-    _check_b_args(n, m)
+    _check_nm(n, m, b_args=True)
     w = _width(_b_recur(m, n - m, 0))
     return _decode(_b_recur(m, n - m, w), w)
 
@@ -350,21 +325,18 @@ def b_poly_check(n: int, m: int) -> bool:
 
 # --- classical summation identities, checked as polynomial equalities -----
 
-
 def chu_vandermonde_check(a: int, b: int, c: int) -> bool:
     """[a+b over c] = sum_k q^{k(b-c+k)} [a over k] [b over c-k].
 
-    k is clamped to [max(0, c-b), min(a, c)], where both factors are nonzero;
-    there the exponent k(b-c+k) is never negative.  Both sides take the value
-    C(a+b, c) at q = 1, the right one by the classical Vandermonde identity,
-    so that one number bounds the coefficients of both.
+    k runs over [max(0, c-b), min(a, c)], where both factors are nonzero and
+    k(b-c+k) >= 0.  Both sides take the value C(a+b, c) at q = 1 (the right one
+    by Vandermonde's identity), and that one number bounds both.
 
-    With a = b the window is symmetric about c/2 and the sum is folded: the
-    k and c - k terms share the product p = [a over k][a over c-k], and their
-    exponents k(a-c+k) and (c-k)(a-k) differ by a(c-2k), so together they are
-    q^{k(a-c+k)} (p + q^{a(c-2k)} p).  Each k < c/2 costs one product, and the
-    middle term k = c/2, for even c <= 2a, is added once.  The left side is
-    still the q-Pascal image of [2a over c].
+    With a = b the window is symmetric about c/2, and the k and c - k terms
+    share the product p = [a over k][a over c-k]; their exponents k(a-c+k) and
+    (c-k)(a-k) differ by a(c-2k), so together they are q^{k(a-c+k)} (p +
+    q^{a(c-2k)} p).  Each k < c/2 costs one product, the middle term k = c/2
+    (even c <= 2a) is added once, and the left side is still [2a over c].
     """
     if a < 0 or b < 0 or c < 0:
         raise ValueError("indices must be non-negative")
@@ -391,9 +363,8 @@ def e_main_check(n: int, p: int) -> bool:
     [n+p over p-j] by a second Chu-Vandermonde, sum_k q^{k(n+k)} [j over k]
     [n+p-j over p-j-k], which is `chu_vandermonde_check(j, n+p-j, p-j)`.
     Checking the single sum and every inner sum against the Gaussian it
-    expands implies the double equality, since the double sum is then the
-    single sum term by term; and a wrong inner sum cannot cancel against
-    another inside the total.
+    expands implies the double equality (the double sum is then the single
+    sum term by term), and no wrong inner sum can cancel against another.
     """
     _check_nm(n, p)
     return chu_vandermonde_check(n + p, n + p, p) and all(
@@ -405,34 +376,24 @@ def q_binomial_theorem_check(n: int) -> bool:
     """prod_{i<n} (1 + t q^i) = sum_m q^{binom(m,2)} [n over m] t^m.
 
     The product is expanded t-degree by t-degree (each row a polynomial in q)
-    and compared against the closed form.  For n <= 12 each row is also
-    cross-checked against the subset-sum interpretation
-    sum over m-subsets I of {0..n-1} of q^{sum(I)} by direct enumeration.
-    Every row's coefficients are bounded by its value C(n, m) at q = 1.
+    and compared against the closed form; for n <= 12 each row also against
+    the sum over m-subsets I of {0..n-1} of q^{sum(I)}, by enumeration.  Every
+    row's coefficients are bounded by its value C(n, m) at q = 1.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
     w = _width(comb(n, n // 2))
     rows = [1]
     for i in range(n):
-        nxt = [0] * (len(rows) + 1)
-        for m, row in enumerate(rows):
-            nxt[m] += row
-            nxt[m + 1] += row << w * i
-        rows = nxt
-    for m, row in enumerate(rows):
-        if row != _binomial_image(n, m, w) << w * (m * (m - 1) // 2):
-            return False
-    if n <= 12:
-        for m in range(n + 1):
-            oracle = sum(1 << w * sum(subset) for subset in combinations(range(n), m))
-            if oracle != rows[m]:
-                return False
-    return True
+        rows = [low + (high << w * i) for low, high in zip([*rows, 0], [0, *rows])]
+    if rows != [_binomial_image(n, m, w) << w * (m * (m - 1) // 2) for m in range(n + 1)]:
+        return False
+    if n > 12:
+        return True
+    return rows == [sum(1 << w * sum(s) for s in combinations(range(n), m)) for m in range(n + 1)]
 
 
 # --- alternating sums beyond von Szily ------------------------------------
-
 
 def r_poly(n: int, m: int, r: int, s: int) -> IntPoly:
     """R_{n,m;r,s}(q): the alternating sum with powered Gaussian factors,
@@ -442,10 +403,10 @@ def r_poly(n: int, m: int, r: int, s: int) -> IntPoly:
     exactly divided by A_{n,m}(q).  R_{n,m;1,1} = q^{nm}.
 
     The sum is taken in the image at the byte width W of `_szily_bound` and
-    decoded once.  Powers are taken over IntPoly, where widths are tight.
-    Their coefficients are non-negative, so each of a product a*b is at most
-    max(a) times b's value at q = 1: a*b is the product of `_image`s at that
-    byte width, re-spaced to W, as the tail terms need far fewer bits than W.
+    decoded once; powers are taken over IntPoly, where widths are tight.  Their
+    coefficients are non-negative, so each of a product a*b is at most max(a)
+    times b(1): a*b is the product of `_image`s at that byte width, re-spaced
+    to W, as the tail terms need far fewer bits than W.
     """
     _check_nm(n, m)
     if r < 1 or s < 1:
@@ -483,3 +444,45 @@ def borwein_sum(n: int) -> IntPoly:
         pair = (p + p.shifted(k)).shifted(k * (k - 1) // 2 + 4 * k * k)
         total = total - pair if k % 2 else total + pair
     return total
+
+
+# --- the memos ------------------------------------------------------------
+# name -> (where the memo is, the last `qpos identities` row that reads it or
+# None).  A dict or list is looked up in its module at each call, so a rebound
+# memo is the one sized and dropped; a functools.cache is held as bound here,
+# as a wrapper rebound over it (perfbench's tracing) has no cache_clear.
+MEMOS = {
+    "qfactor._QFACT": (vars(qfactor), None),
+    "qfactor._QBINOM": (vars(qfactor), "r-unit-shift"),
+    "polyring.cyclotomic": (polyring.cyclotomic, None),
+    "identities._IMAGES": (globals(), "q-binomial-theorem"),
+    "identities._A_MEMO": (globals(), "r-unit-shift"),
+    "identities._B_LAST": (globals(), "b-recurrence"),
+    "identities._ENCODED": (globals(), "r-unit-shift"),
+    "identities._a_recur": (_a_recur, "super-catalan-three-way"),
+    "identities._b_recur": (_b_recur, "b-recurrence"),
+}
+
+
+def memo_sizes() -> dict[str, int]:
+    """Each memo's number of entries, q_factorial's seed [0]! = 1 not counted."""
+    sizes = {}
+    for name, (where, _) in MEMOS.items():
+        memo = where if callable(where) else where[name.partition(".")[2]]
+        sizes[name] = memo.cache_info().currsize if callable(memo) else len(memo) - isinstance(memo, list)
+    return sizes
+
+
+def drop_memos(rows_left=()) -> None:
+    """Empty each memo no `qpos identities` row in rows_left reads, by default all;
+    a memo refills on demand, so no result computed after a drop changes."""
+    for name, (where, last_row) in MEMOS.items():
+        if last_row in rows_left:
+            continue
+        memo = where if callable(where) else where[name.partition(".")[2]]
+        if callable(memo):
+            memo.cache_clear()
+        elif isinstance(memo, list):
+            del memo[1:]  # q_factorial's seed [0]! = 1 stays
+        else:
+            memo.clear()

@@ -38,15 +38,7 @@ def _once_per_pair(check):
 
 
 def cmd_identities(args) -> Iterator[dict]:
-    from . import identities
-    from .identities import (
-        b_poly_check,
-        chu_vandermonde_check,
-        e_main_check,
-        q_binomial_theorem_check,
-        r_poly,
-        super_catalan_check,
-    )
+    from . import identities as ids
     from .polyring import IntPoly
 
     if args.max_n > MAX_IDENTITY_N:
@@ -54,29 +46,34 @@ def cmd_identities(args) -> Iterator[dict]:
     echo = {"max_n": args.max_n}
     span = range(args.max_n + 1)
     # (name, case keys, cases, check): built on each call, so the checks are
-    # whatever identities binds now, and the cases are generated lazily.
-    # The pair memos last this call.  They are exact: super_catalan_check demands
+    # whatever identities binds now, and the cases are generated lazily.  The
+    # pair memos last this call.  They are exact: super_catalan_check demands
     # direct(n, m) == direct(m, n), and both rows' other legs only swap factors.
-    # The image memos last one row: rows need different widths W, and a memo
-    # kept from an earlier row would be held beside this row's own.
     table = [
         ("super-catalan-three-way", ("n", "m"), itertools.product(span, span),
-         _once_per_pair(super_catalan_check)),
+         _once_per_pair(ids.super_catalan_check)),
         ("b-recurrence", ("n", "m"), ((n, m) for n in span for m in range(n + 1)),
-         b_poly_check),
+         ids.b_poly_check),
         ("chu-vandermonde", ("a", "b", "c"), itertools.product(span, span, span),
-         chu_vandermonde_check),
-        ("double-chu-vandermonde", ("n", "p"), itertools.product(span, span), e_main_check),
-        ("q-binomial-theorem", ("n",), itertools.product(span), q_binomial_theorem_check),
+         ids.chu_vandermonde_check),
+        ("double-chu-vandermonde", ("n", "p"), itertools.product(span, span), ids.e_main_check),
+        ("q-binomial-theorem", ("n",), itertools.product(span), ids.q_binomial_theorem_check),
         ("r-unit-shift", ("n", "m"), itertools.product(span, span),
-         _once_per_pair(lambda n, m: r_poly(n, m, 1, 1) == IntPoly.monomial(n * m))),
+         _once_per_pair(lambda n, m: ids.r_poly(n, m, 1, 1) == IntPoly.monomial(n * m))),
     ]
-    for name, keys, cases, check in table:
+    for row, (name, keys, cases, check) in enumerate(table):
         failures, count = [], 0
         for count, case in enumerate(cases, start=1):
             if not _verdict(check, *case):
                 failures.append(dict(zip(keys, case)))
-        identities._IMAGES.clear()
+        # A memo lives until the last row that reads it (`identities.MEMOS`);
+        # an image memo one row, lest it be held beside the next row's widths.
+        # The R row divides only by A_{n,m} with n <= m, so it builds no A.
+        ids.drop_memos([later[0] for later in table[row + 1 :]])
+        ids._IMAGES.clear()
+        if name == "super-catalan-three-way":
+            for key in [key for key in ids._A_MEMO if key[0] > key[1]]:
+                del ids._A_MEMO[key]
         status = "ok" if not failures else "identity-violation"
         payload = {"identity": name, "cases": count, "failures": failures}
         yield _record("identities", dict(echo, identity=name), status, payload)

@@ -1,3 +1,6 @@
+import argparse
+import functools
+import hashlib
 import json
 import random
 from math import comb
@@ -6,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qpositivity import cli, identities, identity_commands, qfactor
+from qpositivity import cli, identities, identity_commands, polyring, qfactor
 from qpositivity.errors import IdentityViolation
 from qpositivity.identities import (
     b_poly_check,
@@ -624,3 +627,59 @@ class TestChecksCanFail:
             if not identity_commands._verdict(lambda: r_poly(n, m, 1, 1) == IntPoly.monomial(n * m))
         ]
         assert unit_shift and failures["r-unit-shift"] == unit_shift
+
+
+ROWS = ("super-catalan-three-way", "b-recurrence", "chu-vandermonde",
+        "double-chu-vandermonde", "q-binomial-theorem", "r-unit-shift")
+NINE_MEMOS = {"qfactor._QFACT", "qfactor._QBINOM", "polyring.cyclotomic", "identities._IMAGES",
+              "identities._A_MEMO", "identities._B_LAST", "identities._ENCODED",
+              "identities._a_recur", "identities._b_recur"}
+
+
+class TestMemoLifetimes:
+    def test_the_table_names_every_memo_and_only_rows_that_run(self):
+        assert set(identities.MEMOS) == NINE_MEMOS
+        assert {row for _, row in identities.MEMOS.values()} <= {*ROWS, None}
+
+    def test_each_row_drops_what_no_later_row_reads(self, monkeypatch):
+        identities.drop_memos()
+        built = []  # every A and B the direct routes build
+        build = identities.d_polynomial
+        monkeypatch.setattr(identities, "d_polynomial", lambda t, start=None: built.append(t) or build(t, start))
+        after = {}
+        for record in identity_commands.cmd_identities(argparse.Namespace(max_n=5)):
+            after[record["payload"]["identity"]] = identities.memo_sizes(), set(identities._A_MEMO), len(built)
+        assert tuple(after) == ROWS
+        sizes = {row: size for row, (size, _, _) in after.items()}
+        assert all(size["identities._IMAGES"] == 0 for size in sizes.values())
+        assert sizes["super-catalan-three-way"]["identities._a_recur"] == 0
+        assert after["super-catalan-three-way"][1] == {(n, m) for m in range(6) for n in range(m + 1)}
+        assert sizes["b-recurrence"]["identities._b_recur"] == sizes["b-recurrence"]["identities._B_LAST"] == 0
+        # the R row divides by the A_(n,m) with n <= m kept from row 1 and builds none
+        assert after["r-unit-shift"][2] == after["q-binomial-theorem"][2] > 0
+        assert set(sizes["r-unit-shift"].values()) == {0}
+
+    def test_drop_memos_empties_every_memo_and_changes_no_result(self, monkeypatch):
+        monkeypatch.setattr(identities, "_IMAGES", {})
+        monkeypatch.setattr(qfactor, "_QBINOM", {})
+        traced = functools.wraps(polyring.cyclotomic)(lambda ell: traced.__wrapped__(ell))
+        monkeypatch.setattr(polyring, "cyclotomic", traced)  # a wrapper with no cache_clear
+        assert not hasattr(traced, "cache_clear")
+        results = lambda: (
+            qfactor.q_factorial(6), polyring.cyclotomic(12), chu_vandermonde_check(4, 3, 3),
+            super_catalan_q_recurrence(2, 3), b_poly_recurrence(4, 2), b_poly_direct(4, 2),
+            r_poly(2, 3, 1, 1),
+        )
+        before = results()
+        assert all(identities.memo_sizes().values())
+        identities.drop_memos()
+        assert set(identities.memo_sizes().values()) == {0}
+        assert results() == before
+        assert all(identities.memo_sizes().values())
+
+
+def test_north_star_run_prints_its_reference_stdout(capsys):
+    # the ROADMAP's end-to-end size, with the benchmark's flags
+    assert cli.main(["identities", "--max-n", "16", "--jobs", "1", "--no-timing"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "d99931e422aaa1c72be31068eed59afa82014c903adb08518d34a5d859e7f1f7"

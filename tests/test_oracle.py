@@ -11,9 +11,10 @@ from collections import Counter
 
 import pytest
 
+from qpositivity import identities
 from qpositivity.landau import TupleSpec
 from qpositivity.polyring import IntPoly, cyclotomic
-from qpositivity.qfactor import d_polynomial
+from qpositivity.qfactor import d_polynomial, q_binomial
 from test_landau import SPORADIC_2_3, SPORADIC_4_5
 
 sympy = pytest.importorskip("sympy")
@@ -69,3 +70,15 @@ def test_d_polynomial_is_sympys_exact_quotient(a, b):
     # n = 1 only: sympy's dense division takes about 1 s for one tuple at n = 2
     top, bottom = _ratio(a, b, 1)
     _assert_same(d_polynomial(TupleSpec(a, b)), top.exquo(bottom))
+
+
+@pytest.mark.parametrize("dropped", [False, True], ids=["memos-kept", "after-drop-memos"])
+def test_q_binomial_times_the_denominator_is_the_numerator(dropped):
+    # [n over m] = [n]! / ([m]! [n-m]!) for n <= 16, the sizes `qpos identities` reaches
+    if dropped:
+        identities.drop_memos()
+    for n in range(17):
+        for m in range(n + 1):
+            top, bottom = _ratio((n,), (m, n - m), 1)
+            ours = q_binomial(n, m)
+            assert sympy.Poly.from_list(list(reversed(ours.coeffs)), Q) * bottom == top, (n, m)
